@@ -16,7 +16,6 @@ from .errors import (
     MissingScore,
     NonPositiveShift,
     ParseError,
-    PipelineError,
     UnknownResearcherRef,
     ValidationErrors,
     ZeroYearsActive,
@@ -38,10 +37,8 @@ from .funnel import (
 )
 from .indicator import (
     FractionalWeights,
-    InstitutionAggregate,
     ResearcherScore,
     fractional_weights,
-    institution_means,
     normalized_impact,
     researcher_fss,
 )
@@ -50,9 +47,11 @@ from .model import (
     AssessmentConfig,
     AuthorSlot,
     CitationBaseline,
+    GrandMeanMode,
     PublicationRecord,
     Rank,
     ResearcherRecord,
+    SkewnessTarget,
     ValidatedDataset,
     WeightingScheme,
     apply_exclusions,

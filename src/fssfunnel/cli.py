@@ -24,18 +24,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import (
-    AssessmentError,
-    IoError,
-    ParseError,
-    ValidationErrors,
-    YearsOutOfRange,
-)
+from .errors import AssessmentError, IoError, ParseError, ValidationErrors
 from .funnel import FunnelReport, build_funnel_report, qq_max_deviation
 from .indicator import fractional_weights, researcher_fss
 from .model import (
@@ -45,7 +41,6 @@ from .model import (
     PublicationRecord,
     Rank,
     ResearcherRecord,
-    WeightingScheme,
     apply_exclusions,
     validate_dataset,
 )
@@ -83,7 +78,7 @@ class RunRequest:
 
 def _read_rows(path: str, expected_header: list[str]):
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
@@ -186,22 +181,57 @@ def read_baselines_csv(path: str) -> CitationBaseline:
     return CitationBaseline(entries)
 
 
-_CONFIG_KEYS = {
-    "period_start", "period_end", "min_years_active", "min_faculty",
-    "salary_coefficient_assistant", "salary_coefficient_associate",
-    "salary_coefficient_full", "band_z_levels", "delta_bracket",
-    "skewness_tolerance", "weighting_scheme", "grand_mean_mode",
-    "skewness_target",
-}
+def _config_file_keys() -> dict[str, tuple[str, object, Enum | None]]:
+    """Config-file key -> (AssessmentConfig field, value type, dict key).
+
+    A dict field keyed by an Enum takes one file key per member, spelled
+    ``<key_prefix><member value, lower case>``; every other field is its own
+    key with the field's type."""
+    hints = get_type_hints(AssessmentConfig)
+    keys = {}
+    for f in fields(AssessmentConfig):
+        hint = hints[f.name]
+        if get_origin(hint) is dict:
+            member_type, value_type = get_args(hint)
+            for member in member_type:
+                keys[f.metadata["key_prefix"] + member.value.lower()] = (
+                    f.name, value_type, member,
+                )
+        else:
+            keys[f.name] = (f.name, hint, None)
+    return keys
+
+
+def _convert(hint, text: str):
+    """One config value as ``hint`` (a number type, an Enum or a tuple of
+    numbers); ValueError with a message for the user on bad input."""
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        allowed = sorted(member.value for member in hint)
+        if text not in allowed:
+            raise ValueError(f"expected one of {allowed}, got {text!r}")
+        return hint(text)
+    args = get_args(hint)
+    try:
+        if get_origin(hint) is not tuple:
+            return hint(text)
+        value = tuple(args[0](part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad value {text!r}") from None
+    if args[-1] is not Ellipsis and len(value) != len(args):
+        raise ValueError(f"expected {len(args)} values, got {text!r}")
+    return value
 
 
 def parse_config_file(path: str) -> AssessmentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
 
-    raw: dict[str, tuple[int, str]] = {}
+    schema = _config_file_keys()
+    defaults = AssessmentConfig()
+    seen: set[str] = set()
+    overrides: dict[str, object] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -210,77 +240,23 @@ def parse_config_file(path: str) -> AssessmentConfig:
             raise ParseError(path, line_no, stripped, "expected key=value")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in schema:
             raise ParseError(path, line_no, key, "unknown configuration key")
-        if key in raw:
+        if key in seen:
             raise ParseError(path, line_no, key, "key given twice")
-        raw[key] = (line_no, value.strip())
-
-    def number(key: str, convert, default):
-        if key not in raw:
-            return default
-        line_no, value = raw[key]
+        seen.add(key)
+        name, hint, member = schema[key]
         try:
-            return convert(value)
-        except ValueError:
-            raise ParseError(path, line_no, key, f"bad value {value!r}") from None
-
-    def float_list(key: str, default):
-        if key not in raw:
-            return default
-        line_no, value = raw[key]
-        try:
-            return tuple(float(part) for part in value.split(","))
-        except ValueError:
-            raise ParseError(path, line_no, key, f"bad value {value!r}") from None
-
-    def choice(key: str, allowed: dict, default):
-        if key not in raw:
-            return default
-        line_no, value = raw[key]
-        if value not in allowed:
-            raise ParseError(
-                path, line_no, key, f"expected one of {sorted(allowed)}, got {value!r}"
-            )
-        return allowed[value]
-
-    defaults = AssessmentConfig()
-    salary = dict(defaults.salary_coefficients)
-    salary[Rank.ASSISTANT] = number("salary_coefficient_assistant", float, salary[Rank.ASSISTANT])
-    salary[Rank.ASSOCIATE] = number("salary_coefficient_associate", float, salary[Rank.ASSOCIATE])
-    salary[Rank.FULL] = number("salary_coefficient_full", float, salary[Rank.FULL])
-
-    bracket = float_list("delta_bracket", defaults.delta_bracket)
-    if len(bracket) != 2:
-        line_no, value = raw["delta_bracket"]
-        raise ParseError(path, line_no, "delta_bracket", f"expected two values, got {value!r}")
+            converted = _convert(hint, value.strip())
+        except ValueError as exc:
+            raise ParseError(path, line_no, key, str(exc)) from None
+        if member is None:
+            overrides[name] = converted
+        else:
+            overrides.setdefault(name, dict(getattr(defaults, name)))[member] = converted
 
     try:
-        return AssessmentConfig(
-            period_start=number("period_start", int, defaults.period_start),
-            period_end=number("period_end", int, defaults.period_end),
-            min_years_active=number("min_years_active", int, defaults.min_years_active),
-            min_faculty=number("min_faculty", int, defaults.min_faculty),
-            salary_coefficients=salary,
-            band_z_levels=float_list("band_z_levels", defaults.band_z_levels),
-            delta_bracket=tuple(bracket),
-            skewness_tolerance=number("skewness_tolerance", float, defaults.skewness_tolerance),
-            weighting_scheme=choice(
-                "weighting_scheme",
-                {s.value: s for s in WeightingScheme},
-                defaults.weighting_scheme,
-            ),
-            grand_mean_mode=choice(
-                "grand_mean_mode",
-                {"individuals": "individuals", "group_means": "group_means"},
-                defaults.grand_mean_mode,
-            ),
-            skewness_target=choice(
-                "skewness_target",
-                {"individuals": "individuals", "institution_means": "institution_means"},
-                defaults.skewness_target,
-            ),
-        )
+        return AssessmentConfig(**overrides)
     except ValueError as exc:
         raise ParseError(path, 1, "config", str(exc)) from None
 
@@ -290,22 +266,16 @@ def parse_config_file(path: str) -> AssessmentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _config_payload(config: AssessmentConfig) -> dict:
-    return {
-        "period_start": config.period_start,
-        "period_end": config.period_end,
-        "min_years_active": config.min_years_active,
-        "min_faculty": config.min_faculty,
-        "salary_coefficients": {
-            rank.value: config.salary_coefficients[rank] for rank in Rank
-        },
-        "band_z_levels": list(config.band_z_levels),
-        "delta_bracket": list(config.delta_bracket),
-        "skewness_tolerance": config.skewness_tolerance,
-        "weighting_scheme": config.weighting_scheme.value,
-        "grand_mean_mode": config.grand_mean_mode,
-        "skewness_target": config.skewness_target,
-    }
+def _json_value(value):
+    """A config field's value in JSON terms: Enums as their values, tuples as
+    lists, Enum-keyed dicts keyed by member value."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return {key.value: item for key, item in value.items()}
+    return value
 
 
 def report_payload(report: FunnelReport) -> dict:
@@ -336,7 +306,10 @@ def report_payload(report: FunnelReport) -> dict:
             }
         )
     return {
-        "config": _config_payload(report.config),
+        "config": {
+            f.name: _json_value(getattr(report.config, f.name))
+            for f in fields(report.config)
+        },
         "transform": {
             "delta": report.transform.delta,
             "achieved_skewness": report.transform.achieved_skewness,
@@ -405,7 +378,7 @@ def run_assessment(request: RunRequest) -> int:
         return 2
 
     try:
-        dataset = _validate_with_period(researchers, publications, baselines, config)
+        dataset = validate_dataset(researchers, publications, baselines, config)
     except ValidationErrors as exc:
         for violation in exc.errors:
             print(f"error: {violation}", file=sys.stderr)
@@ -457,21 +430,6 @@ def run_assessment(request: RunRequest) -> int:
         for destination in outputs:
             print(f"wrote {destination}")
     return 0
-
-
-def _validate_with_period(researchers, publications, baselines, config):
-    period_errors = [
-        YearsOutOfRange(r.researcher_id, r.years_active, config.period_length)
-        for r in researchers
-        if r.years_active > config.period_length
-    ]
-    try:
-        dataset = validate_dataset(researchers, publications, baselines)
-    except ValidationErrors as exc:
-        raise ValidationErrors(period_errors + exc.errors) from None
-    if period_errors:
-        raise ValidationErrors(period_errors)
-    return dataset
 
 
 # ---------------------------------------------------------------------------

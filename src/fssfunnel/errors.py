@@ -130,7 +130,3 @@ class ParseError(AssessmentError):
         self.column = column
         self.reason = reason
         super().__init__(f"{file}:{line}: column {column!r}: {reason}")
-
-
-class PipelineError(AssessmentError):
-    """Assessment pipeline failed after inputs were accepted."""

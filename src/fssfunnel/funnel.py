@@ -22,8 +22,14 @@ from .errors import (
     MissingScore,
 )
 from .indicator import ResearcherScore
-from .model import AssessablePopulation, AssessmentConfig
-from .transform import TransformSpec, sample_skewness, solve_zero_skew, zero_skewness_delta
+from .model import AssessablePopulation, AssessmentConfig, GrandMeanMode, SkewnessTarget
+from .transform import (
+    TransformSpec,
+    log_shift_transform,
+    sample_skewness,
+    solve_zero_skew,
+    zero_skewness_delta,
+)
 
 Groups = list[tuple[str, list[float]]]
 
@@ -75,12 +81,16 @@ class FunnelReport:
     config: AssessmentConfig
 
 
-def fit_pooled(groups: Groups, grand_mean_mode: str = "individuals") -> PooledFit:
+def fit_pooled(
+    groups: Groups, grand_mean_mode: GrandMeanMode = GrandMeanMode.INDIVIDUALS
+) -> PooledFit:
     """Least-squares fit of the common-variance fixed-effects model.
 
     The pooled SD is the residual SD after subtracting each group mean:
-    sqrt(sum of within-group squared deviations / (N - J)).
+    sqrt(sum of within-group squared deviations / (N - J)). The mode may be
+    given as a member or as its string value.
     """
+    grand_mean_mode = GrandMeanMode(grand_mean_mode)
     if not groups:
         raise ValueError("fit_pooled needs at least one group")
     arrays = []
@@ -95,12 +105,10 @@ def fit_pooled(groups: Groups, grand_mean_mode: str = "individuals") -> PooledFi
     if total_n <= group_count:
         raise InsufficientDegreesOfFreedom(total_n, group_count)
 
-    if grand_mean_mode == "individuals":
+    if grand_mean_mode is GrandMeanMode.INDIVIDUALS:
         grand_mean = sum(float(a.sum()) for a in arrays) / total_n
-    elif grand_mean_mode == "group_means":
-        grand_mean = sum(float(a.mean()) for a in arrays) / group_count
     else:
-        raise ValueError(f"unknown grand_mean_mode {grand_mean_mode!r}")
+        grand_mean = sum(float(a.mean()) for a in arrays) / group_count
 
     ss_within = sum(float(((a - a.mean()) ** 2).sum()) for a in arrays)
     pooled_sd = sqrt(ss_within / (total_n - group_count))
@@ -113,10 +121,6 @@ def confidence_bands(fit: PooledFit, n: int, level_z: float) -> BandPoint:
         raise ValueError(f"band size must be >= 1, got {n}")
     half_width = level_z * fit.pooled_sd / sqrt(n)
     return BandPoint(n, level_z, fit.grand_mean - half_width, fit.grand_mean + half_width)
-
-
-def band_curve(fit: PooledFit, level_z: float, sizes) -> list[BandPoint]:
-    return [confidence_bands(fit, n, level_z) for n in sizes]
 
 
 def classify_institution(
@@ -233,8 +237,7 @@ def build_funnel_report(
     spec = _solve_transform(pooled_values, original_groups, config)
 
     transformed_groups: Groups = [
-        (inst, list(np.log(np.asarray(values) + spec.delta)))
-        for inst, values in original_groups
+        (inst, log_shift_transform(values, spec.delta)) for inst, values in original_groups
     ]
     fit = fit_pooled(transformed_groups, config.grand_mean_mode)
 
@@ -281,7 +284,7 @@ def build_funnel_report(
 def _solve_transform(
     pooled_values: list[float], groups: Groups, config: AssessmentConfig
 ) -> TransformSpec:
-    if config.skewness_target == "individuals":
+    if config.skewness_target is SkewnessTarget.INDIVIDUALS:
         return zero_skewness_delta(
             pooled_values, config.delta_bracket, config.skewness_tolerance
         )
@@ -289,7 +292,7 @@ def _solve_transform(
     arrays = [np.asarray(values, dtype=float) for _, values in groups]
     if len(arrays) < 3:
         raise DegenerateSample(
-            "skewness_target=institution_means needs at least 3 institutions"
+            "tuning the shift on institution means needs at least 3 institutions"
         )
 
     def objective(delta: float) -> float:

@@ -1,4 +1,4 @@
-"""Per-researcher productivity (FSS) and per-institution means.
+"""Per-researcher productivity (FSS).
 
 FSS is yearly output value per unit labor cost: field-normalized citations of
 each publication, scaled by the researcher's fractional authorship credit,
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyAuthorList, MissingScore, ZeroYearsActive
+from .errors import EmptyAuthorList, ZeroYearsActive
 from .model import (
-    AssessablePopulation,
     AssessmentConfig,
     AuthorSlot,
     CitationBaseline,
@@ -58,14 +57,6 @@ class ResearcherScore:
     salary_coefficient: float
     years_active: int
     publication_count: int
-
-
-@dataclass(frozen=True)
-class InstitutionAggregate:
-    institution_id: str
-    size: int
-    mean_fss: float
-    member_scores: tuple[ResearcherScore, ...]
 
 
 def fractional_weights(
@@ -161,28 +152,3 @@ def _byline_index(pub: PublicationRecord, researcher_id: str) -> int:
     raise ValueError(
         f"publication {pub.publication_id!r} is not authored by {researcher_id!r}"
     )
-
-
-def institution_means(
-    population: AssessablePopulation, scores: list[ResearcherScore]
-) -> list[InstitutionAggregate]:
-    """Unweighted mean FSS per institution, sorted by institution id."""
-    by_id: dict[str, ResearcherScore] = {}
-    for score in scores:
-        if score.researcher_id in by_id:
-            raise ValueError(f"duplicate score for researcher {score.researcher_id!r}")
-        by_id[score.researcher_id] = score
-
-    aggregates = []
-    for inst, members in population.institutions.items():
-        member_scores = []
-        for rec in members:
-            score = by_id.get(rec.researcher_id)
-            if score is None:
-                raise MissingScore(rec.researcher_id)
-            member_scores.append(score)
-        mean = sum(s.fss for s in member_scores) / len(member_scores)
-        aggregates.append(
-            InstitutionAggregate(inst, len(member_scores), mean, tuple(member_scores))
-        )
-    return aggregates

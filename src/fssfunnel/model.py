@@ -7,7 +7,7 @@ faculty is too small. Both thresholds live in :class:`AssessmentConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import (
@@ -18,6 +18,7 @@ from .errors import (
     MissingBaseline,
     UnknownResearcherRef,
     ValidationErrors,
+    YearsOutOfRange,
 )
 
 
@@ -32,6 +33,22 @@ class WeightingScheme(Enum):
 
     LIFE_SCIENCE = "life_science"
     UNIFORM = "uniform"
+
+
+class GrandMeanMode(Enum):
+    """Which mean the funnel bands are centred on."""
+
+    # Mean of all individuals: the least-squares-consistent grand mean.
+    INDIVIDUALS = "individuals"
+    # Unweighted mean of the institution means.
+    GROUP_MEANS = "group_means"
+
+
+class SkewnessTarget(Enum):
+    """Which sample the log shift is tuned to make symmetric."""
+
+    INDIVIDUALS = "individuals"
+    INSTITUTION_MEANS = "institution_means"
 
 
 @dataclass(frozen=True)
@@ -106,25 +123,32 @@ DEFAULT_SALARY_COEFFICIENTS = {
 
 @dataclass(frozen=True)
 class AssessmentConfig:
+    """Every run option. The fields, in order, are the schema of the config
+    file and of the report's ``config`` block. An Enum field also accepts its
+    members' string values."""
+
     period_start: int = 2008
     period_end: int = 2012
     min_years_active: int = 3
     min_faculty: int = 5
+    # Spelled salary_coefficient_<rank> in the config file, one key per rank.
     salary_coefficients: dict[Rank, float] = field(
-        default_factory=lambda: dict(DEFAULT_SALARY_COEFFICIENTS)
+        default_factory=lambda: dict(DEFAULT_SALARY_COEFFICIENTS),
+        metadata={"key_prefix": "salary_coefficient_"},
     )
     band_z_levels: tuple[float, ...] = (2.0, 3.0)
     delta_bracket: tuple[float, float] = (1e-9, 10.0)
     skewness_tolerance: float = 1e-9
     weighting_scheme: WeightingScheme = WeightingScheme.LIFE_SCIENCE
-    # Mean of all individuals is the least-squares-consistent grand mean;
-    # "group_means" switches to the unweighted mean of institution means.
-    grand_mean_mode: str = "individuals"
-    # The shift is tuned on pooled individual values by default;
-    # "institution_means" tunes it on the institution means instead.
-    skewness_target: str = "individuals"
+    grand_mean_mode: GrandMeanMode = GrandMeanMode.INDIVIDUALS
+    skewness_target: SkewnessTarget = SkewnessTarget.INDIVIDUALS
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, Enum):
+                # The Enum call returns a member unchanged, maps a value to
+                # its member and raises ValueError on anything else.
+                object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
         if self.period_end < self.period_start:
             raise ValueError("period_end must be >= period_start")
         if self.min_years_active < 1:
@@ -135,6 +159,10 @@ class AssessmentConfig:
             coeff = self.salary_coefficients.get(rank)
             if coeff is None or coeff <= 0:
                 raise ValueError(f"salary coefficient for {rank.value} must be > 0")
+        # Rank order, whatever the caller's, keeps the report byte-stable.
+        object.__setattr__(
+            self, "salary_coefficients", {rank: self.salary_coefficients[rank] for rank in Rank}
+        )
         levels = tuple(self.band_z_levels)
         if len(levels) < 2 or any(z <= 0 for z in levels):
             raise ValueError("band_z_levels needs at least two positive levels")
@@ -146,10 +174,6 @@ class AssessmentConfig:
             raise ValueError("delta_bracket must be a positive increasing interval")
         if self.skewness_tolerance <= 0:
             raise ValueError("skewness_tolerance must be > 0")
-        if self.grand_mean_mode not in ("individuals", "group_means"):
-            raise ValueError(f"unknown grand_mean_mode {self.grand_mean_mode!r}")
-        if self.skewness_target not in ("individuals", "institution_means"):
-            raise ValueError(f"unknown skewness_target {self.skewness_target!r}")
 
     @property
     def period_length(self) -> int:
@@ -208,13 +232,20 @@ def validate_dataset(
     researchers: list[ResearcherRecord],
     publications: list[PublicationRecord],
     baselines: CitationBaseline,
+    config: AssessmentConfig,
 ) -> ValidatedDataset:
     """Check cross-record consistency and collect every violation found.
 
-    Raises :class:`ValidationErrors` carrying all problems; on success returns
-    a dataset holding exactly the input records. Inputs are never mutated.
+    Also checks every researcher's ``years_active`` against the length of the
+    configured observation period. Raises :class:`ValidationErrors` carrying
+    all problems, period violations first; on success returns a dataset
+    holding exactly the input records. Inputs are never mutated.
     """
-    errors: list[DataViolation] = []
+    errors: list[DataViolation] = [
+        YearsOutOfRange(r.researcher_id, r.years_active, config.period_length)
+        for r in researchers
+        if r.years_active > config.period_length
+    ]
 
     seen: set[str] = set()
     flagged: set[str] = set()

@@ -12,7 +12,7 @@ from math import ceil, exp, floor, log10, sqrt
 from xml.sax.saxutils import escape
 
 from .errors import EmptyReport
-from .funnel import Classification, FunnelReport
+from .funnel import Classification, FunnelReport, confidence_bands
 
 DEFAULT_COLORS = {
     Classification.WITHIN: "#4878a8",
@@ -217,10 +217,8 @@ def render_funnel_svg(report: FunnelReport, style: PlotStyle = PlotStyle()) -> s
     grid = [n_lo + (n_hi - n_lo) * i / 160 for i in range(161)]
     grid = sorted(set(grid) | set(float(n) for n in sizes))
 
-    inner_z, outer_z = report.config.inner_z, report.config.outer_z
-    outer_low = fit.grand_mean - outer_z * fit.pooled_sd / sqrt(n_lo)
-    outer_high = fit.grand_mean + outer_z * fit.pooled_sd / sqrt(n_lo)
-    y_values = [s.mean_transformed for s in report.summaries] + [outer_low, outer_high]
+    widest = confidence_bands(fit, n_lo, report.config.outer_z)
+    y_values = [s.mean_transformed for s in report.summaries] + [widest.lower, widest.upper]
     y_range = _pad_range(min(y_values), max(y_values))
     frame = _Frame(style, (n_lo, n_hi), y_range)
 
@@ -244,17 +242,14 @@ def render_funnel_svg(report: FunnelReport, style: PlotStyle = PlotStyle()) -> s
               "original scale", cls="axis-label", rotate=90.0)
     )
 
-    def curve(z: float, side: int):
-        return [
-            (frame.x(n), frame.y(fit.grand_mean + side * z * fit.pooled_sd / sqrt(n)))
-            for n in grid
-        ]
-
-    parts.append(_polyline(curve(inner_z, -1), "band inner", style.band_color, False))
-    parts.append(_polyline(curve(inner_z, +1), "band inner", style.band_color, False))
+    levels = [(report.config.inner_z, "band inner", False)]
     if style.show_outer_bands:
-        parts.append(_polyline(curve(outer_z, -1), "band outer", style.band_color, True))
-        parts.append(_polyline(curve(outer_z, +1), "band outer", style.band_color, True))
+        levels.append((report.config.outer_z, "band outer", True))
+    for z, cls, dashed in levels:
+        bands = [confidence_bands(fit, n, z) for n in grid]
+        for edge in ([b.lower for b in bands], [b.upper for b in bands]):
+            points = [(frame.x(n), frame.y(y)) for n, y in zip(grid, edge)]
+            parts.append(_polyline(points, cls, style.band_color, dashed))
 
     mean_y = frame.y(fit.grand_mean)
     parts.append(

@@ -77,12 +77,7 @@ def zero_skewness_delta(
         )
 
     def objective(delta: float) -> float:
-        dev = np.log(arr + delta)
-        dev = dev - dev.mean()
-        m2 = float(np.mean(dev * dev))
-        if m2 == 0.0:
-            raise DegenerateSample("transformed sample has zero variance")
-        return float(np.mean(dev * dev * dev)) / m2**1.5
+        return sample_skewness(np.log(arr + delta))
 
     return solve_zero_skew(objective, bracket, tolerance)
 

@@ -45,7 +45,7 @@ def make_report(fss_by_institution, min_faculty=1, **config_kwargs):
             rid = f"r{serial:04d}"
             records.append(researcher(rid, inst=inst, years=5))
             scores.append(ResearcherScore(rid, float(value), 1.0, 5, 1))
-    dataset = validate_dataset(records, [], baseline())
     config = AssessmentConfig(min_faculty=min_faculty, **config_kwargs)
+    dataset = validate_dataset(records, [], baseline(), config)
     population = apply_exclusions(dataset, config)
     return build_funnel_report(population, scores, config)

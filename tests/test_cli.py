@@ -1,10 +1,12 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import pytest
 
-from fssfunnel.cli import emit_report, main
+from fssfunnel.cli import emit_report, main, parse_config_file
+from fssfunnel.model import AssessmentConfig, Rank, WeightingScheme
 from helpers import make_report
 
 SALARY = {"Assistant": 1.0, "Associate": 1.4, "Full": 2.0}
@@ -165,6 +167,24 @@ def test_duplicate_researcher_id_names_id_and_line(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_byte_order_mark_is_accepted(tmp_path):
+    # Spreadsheet exports often start with a UTF-8 byte order mark.
+    paths = write_fixture(tmp_path)
+    config = tmp_path / "config.txt"
+    config.write_text("min_faculty=4\n", encoding="utf-8")
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir(), marked.mkdir()
+    extra = ["--config", str(config), "--quiet"]
+    assert main(assess_args(paths, plain, extra)) == 0
+    for name in ("researchers", "publications", "baselines"):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert main(assess_args(paths, marked, extra)) == 0
+    for name in ("report.json", "funnel.svg", "qq.svg", "caterpillar.svg"):
+        assert (marked / name).read_bytes() == (plain / name).read_bytes()
+
+
 def test_missing_baselines_file_is_io_error(tmp_path, capsys):
     paths = write_fixture(tmp_path)
     paths["baselines"] = str(tmp_path / "nowhere.csv")
@@ -201,6 +221,9 @@ def test_years_active_beyond_period_is_rejected(tmp_path, capsys):
         ("unknown_key=3", "unknown configuration key"),
         ("min_faculty=lots", "bad value"),
         ("band_z_levels=3,2", "strictly increasing"),
+        ("min_faculty=4\nmin_faculty=5", "'min_faculty': key given twice"),
+        ("grand_mean_mode=median", "'grand_mean_mode': expected one of"),
+        ("delta_bracket=0.5", "'delta_bracket': expected"),
     ],
 )
 def test_config_file_errors(tmp_path, capsys, line, fragment):
@@ -223,6 +246,58 @@ def test_config_file_overrides(tmp_path):
     assert report["config"]["min_faculty"] == 4
     assert report["config"]["band_z_levels"] == [1.5, 2.5]
     assert report["institutions"][0]["inner_band"]["z"] == 1.5
+
+
+NON_DEFAULT_CONFIG = """\
+period_start=2007
+period_end=2013
+min_years_active=2
+min_faculty=4
+salary_coefficient_assistant=1.1
+salary_coefficient_associate=1.5
+salary_coefficient_full=2.5
+band_z_levels=1.5,2.5,3.5
+delta_bracket=1e-8,20
+skewness_tolerance=1e-10
+weighting_scheme=uniform
+grand_mean_mode=group_means
+skewness_target=institution_means
+"""
+
+
+def test_config_file_round_trips_every_key(tmp_path):
+    paths = write_fixture(tmp_path)
+    config = tmp_path / "config.txt"
+    config.write_text(NON_DEFAULT_CONFIG, encoding="utf-8")
+    assert parse_config_file(str(config)) == AssessmentConfig(
+        period_start=2007,
+        period_end=2013,
+        min_years_active=2,
+        min_faculty=4,
+        salary_coefficients={Rank.ASSISTANT: 1.1, Rank.ASSOCIATE: 1.5, Rank.FULL: 2.5},
+        band_z_levels=(1.5, 2.5, 3.5),
+        delta_bracket=(1e-8, 20.0),
+        skewness_tolerance=1e-10,
+        weighting_scheme=WeightingScheme.UNIFORM,
+        grand_mean_mode="group_means",
+        skewness_target="institution_means",
+    )
+    assert main(assess_args(paths, tmp_path, extra=["--config", str(config), "--quiet"])) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"] == {
+        "period_start": 2007,
+        "period_end": 2013,
+        "min_years_active": 2,
+        "min_faculty": 4,
+        "salary_coefficients": {"Assistant": 1.1, "Associate": 1.5, "Full": 2.5},
+        "band_z_levels": [1.5, 2.5, 3.5],
+        "delta_bracket": [1e-8, 20.0],
+        "skewness_tolerance": 1e-10,
+        "weighting_scheme": "uniform",
+        "grand_mean_mode": "group_means",
+        "skewness_target": "institution_means",
+    }
+    assert list(report["config"]) == [f.name for f in fields(AssessmentConfig)]
 
 
 def test_degenerate_pipeline_is_exit_three(tmp_path, capsys):

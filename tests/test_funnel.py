@@ -265,8 +265,8 @@ def _population_and_scores(fss_by_institution, min_faculty=1):
             rid = f"r{serial:03d}"
             records.append(researcher(rid, inst=inst, years=5))
             scores.append(ResearcherScore(rid, float(value), 1.0, 5, 1))
-    dataset = validate_dataset(records, [], baseline())
     config = AssessmentConfig(min_faculty=min_faculty)
+    dataset = validate_dataset(records, [], baseline(), config)
     return apply_exclusions(dataset, config), scores, config
 
 

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fssfunnel.errors import EmptyAuthorList, MissingBaseline, MissingScore, ZeroYearsActive
+from fssfunnel.funnel import build_funnel_report
 from fssfunnel.indicator import (
     FractionalWeights,
     ResearcherScore,
     fractional_weights,
-    institution_means,
     normalized_impact,
     researcher_fss,
 )
@@ -57,6 +57,17 @@ def test_empty_author_list_rejected():
 def test_uniform_scheme():
     weights = fractional_weights(byline("a", "b", "c", "d"), WeightingScheme.UNIFORM)
     assert all(w == 0.25 for w in weights.weights)
+
+
+def test_uniform_scheme_given_by_its_string_value():
+    # First of four authors with distinct affiliations: 0.30 under the
+    # life-science rule, 0.25 under the uniform one.
+    config = AssessmentConfig(weighting_scheme="uniform")
+    assert config.weighting_scheme is WeightingScheme.UNIFORM
+    rec = researcher("r1", years=1)
+    authors = byline("u01", "x", "y", "z", researcher_ids=["r1", None, None, None])
+    score = researcher_fss(rec, [publication("p1", 5, authors)], baseline(), config)
+    assert score.fss == 0.25
 
 
 @given(affiliations)
@@ -191,32 +202,45 @@ def test_fss_invariant_under_publication_order():
     assert math.isclose(forward, backward, rel_tol=1e-12)
 
 
+# Institution means are taken by build_funnel_report from these scores.
+CONFIG_ALL_SIZES = AssessmentConfig(min_faculty=1)
+
+
 def _population(members_by_institution):
     recs = [
         researcher(rid, inst=inst, years=5)
         for inst, rids in members_by_institution.items()
         for rid in rids
     ]
-    dataset = validate_dataset(recs, [], baseline())
-    return apply_exclusions(dataset, AssessmentConfig(min_faculty=1))
+    dataset = validate_dataset(recs, [], baseline(), CONFIG_ALL_SIZES)
+    return apply_exclusions(dataset, CONFIG_ALL_SIZES)
 
 
 def _score(rid, fss):
     return ResearcherScore(rid, fss, 1.0, 5, 1)
 
 
+def _summaries(table):
+    """Institution summaries for {institution: {researcher id: fss}}."""
+    population = _population({inst: list(vals) for inst, vals in table.items()})
+    scores = [_score(rid, fss) for vals in table.values() for rid, fss in vals.items()]
+    report = build_funnel_report(population, scores, CONFIG_ALL_SIZES)
+    return {summary.institution_id: summary for summary in report.summaries}
+
+
+# A second institution with three distinct values lets the transform solve.
+OTHER = {"B": {"s1": 0.05, "s2": 0.2, "s3": 0.6}}
+
+
 def test_institution_means_two_point_mean():
-    population = _population({"A": ["r1", "r2"]})
-    aggregates = institution_means(population, [_score("r1", 0.1), _score("r2", 0.3)])
-    (agg,) = aggregates
-    assert math.isclose(agg.mean_fss, 0.2, rel_tol=1e-12)
-    assert agg.size == 2
+    summary = _summaries({"A": {"r1": 0.1, "r2": 0.3}, **OTHER})["A"]
+    assert math.isclose(summary.mean_original, 0.2, rel_tol=1e-12)
+    assert summary.size == 2
 
 
 def test_institution_means_all_zero():
-    population = _population({"A": ["r1", "r2", "r3"]})
-    scores = [_score(r, 0.0) for r in ("r1", "r2", "r3")]
-    assert institution_means(population, scores)[0].mean_fss == 0.0
+    summary = _summaries({"A": {"r1": 0.0, "r2": 0.0, "r3": 0.0}, **OTHER})["A"]
+    assert summary.mean_original == 0.0
 
 
 def test_institution_means_match_independent_recomputation():
@@ -224,19 +248,19 @@ def test_institution_means_match_independent_recomputation():
         "A": {"r1": 0.12, "r2": 0.50, "r3": 0.03},
         "B": {"r4": 0.00, "r5": 0.27},
         "C": {"r6": 1.10, "r7": 0.42, "r8": 0.09, "r9": 0.33},
+        "D": {"r10": 0.0, "r11": 0.0, "r12": 0.0},
     }
-    population = _population({inst: list(vals) for inst, vals in table.items()})
-    scores = [_score(rid, fss) for vals in table.values() for rid, fss in vals.items()]
-    aggregates = institution_means(population, scores)
+    summaries = _summaries(table)
 
-    assert [a.institution_id for a in aggregates] == ["A", "B", "C"]
-    for agg in aggregates:
-        values = list(table[agg.institution_id].values())
+    assert list(summaries) == ["A", "B", "C", "D"]
+    for inst, summary in summaries.items():
+        values = list(table[inst].values())
         expected = sum(values) / len(values)
-        assert math.isclose(agg.mean_fss, expected, rel_tol=1e-12)
-        assert agg.size == len(values)
+        assert math.isclose(summary.mean_original, expected, rel_tol=1e-12)
+        assert summary.size == len(values)
+    assert summaries["D"].mean_original == 0.0
 
-    conservation = sum(a.size * a.mean_fss for a in aggregates)
+    conservation = sum(s.size * s.mean_original for s in summaries.values())
     total = sum(fss for vals in table.values() for fss in vals.values())
     assert math.isclose(conservation, total, abs_tol=1e-9)
 
@@ -244,10 +268,12 @@ def test_institution_means_match_independent_recomputation():
 def test_institution_means_missing_score():
     population = _population({"A": ["r1", "r2"]})
     with pytest.raises(MissingScore):
-        institution_means(population, [_score("r1", 0.1)])
+        build_funnel_report(population, [_score("r1", 0.1)], CONFIG_ALL_SIZES)
 
 
 def test_institution_means_duplicate_score_rejected():
     population = _population({"A": ["r1"]})
     with pytest.raises(ValueError):
-        institution_means(population, [_score("r1", 0.1), _score("r1", 0.2)])
+        build_funnel_report(
+            population, [_score("r1", 0.1), _score("r1", 0.2)], CONFIG_ALL_SIZES
+        )

@@ -7,6 +7,7 @@ from fssfunnel.errors import (
     MissingBaseline,
     UnknownResearcherRef,
     ValidationErrors,
+    YearsOutOfRange,
 )
 from fssfunnel.model import (
     AssessmentConfig,
@@ -19,9 +20,11 @@ from fssfunnel.model import (
 )
 from helpers import baseline, byline, publication, researcher
 
+CONFIG = AssessmentConfig()
+
 
 def test_validate_empty_dataset():
-    dataset = validate_dataset([], [], CitationBaseline({}))
+    dataset = validate_dataset([], [], CitationBaseline({}), CONFIG)
     assert dataset.researchers == ()
     assert dataset.publications == ()
 
@@ -29,7 +32,7 @@ def test_validate_empty_dataset():
 def test_validate_minimal_dataset():
     recs = [researcher("r1")]
     pubs = [publication("p1", 7, byline("u01", researcher_ids=["r1"]))]
-    dataset = validate_dataset(recs, pubs, baseline({(2008, "Biochemistry"): 4.2}))
+    dataset = validate_dataset(recs, pubs, baseline({(2008, "Biochemistry"): 4.2}), CONFIG)
     assert len(dataset.researchers) == 1
     assert len(dataset.publications) == 1
     assert dataset.publications_for("r1") == (pubs[0],)
@@ -38,7 +41,7 @@ def test_validate_minimal_dataset():
 def test_validate_missing_baseline():
     pubs = [publication("p1", 3, byline("u01"), year=2099)]
     with pytest.raises(ValidationErrors) as exc:
-        validate_dataset([], pubs, baseline())
+        validate_dataset([], pubs, baseline(), CONFIG)
     (violation,) = exc.value.errors
     assert isinstance(violation, MissingBaseline)
     assert violation.year == 2099
@@ -47,7 +50,7 @@ def test_validate_missing_baseline():
 def test_validate_duplicate_researcher_id():
     recs = [researcher("r1"), researcher("r1", inst="u02")]
     with pytest.raises(ValidationErrors) as exc:
-        validate_dataset(recs, [], baseline())
+        validate_dataset(recs, [], baseline(), CONFIG)
     (violation,) = exc.value.errors
     assert isinstance(violation, DuplicateResearcherId)
     assert violation.researcher_id == "r1"
@@ -56,7 +59,7 @@ def test_validate_duplicate_researcher_id():
 def test_validate_unknown_researcher_ref():
     pubs = [publication("p1", 1, byline("u01", researcher_ids=["ghost"]))]
     with pytest.raises(ValidationErrors) as exc:
-        validate_dataset([], pubs, baseline())
+        validate_dataset([], pubs, baseline(), CONFIG)
     (violation,) = exc.value.errors
     assert isinstance(violation, UnknownResearcherRef)
     assert violation.researcher_id == "ghost"
@@ -74,7 +77,7 @@ def test_validate_unknown_researcher_ref():
 def test_validate_malformed_author_lists(authors, reason_fragment):
     pubs = [publication("p1", 0, authors)]
     with pytest.raises(ValidationErrors) as exc:
-        validate_dataset([researcher("r1")], pubs, baseline())
+        validate_dataset([researcher("r1")], pubs, baseline(), CONFIG)
     assert any(
         isinstance(v, MalformedAuthorList) and reason_fragment in v.reason
         for v in exc.value.errors
@@ -88,23 +91,37 @@ def test_validate_collects_all_violations():
         publication("p2", 1, byline("u01"), year=2099),
     ]
     with pytest.raises(ValidationErrors) as exc:
-        validate_dataset(recs, pubs, baseline())
+        validate_dataset(recs, pubs, baseline(), CONFIG)
     kinds = {type(v) for v in exc.value.errors}
     assert kinds == {DuplicateResearcherId, UnknownResearcherRef, MissingBaseline}
+
+
+def test_validate_years_active_beyond_period():
+    # The default period 2008-2012 is 5 years long.
+    recs = [researcher("r1", years=5), researcher("r2", years=6)]
+    pubs = [publication("p1", 1, byline("u01"), year=2099)]
+    with pytest.raises(ValidationErrors) as exc:
+        validate_dataset(recs, pubs, baseline(), CONFIG)
+    period, missing = exc.value.errors
+    assert isinstance(period, YearsOutOfRange)
+    assert (period.researcher_id, period.years_active, period.period_length) == ("r2", 6, 5)
+    assert isinstance(missing, MissingBaseline)
+    longer = AssessmentConfig(period_start=2007)
+    assert len(validate_dataset(recs, [], baseline(), longer).researchers) == 2
 
 
 def test_validate_does_not_mutate_inputs():
     recs = [researcher("r1")]
     pubs = [publication("p1", 2, byline("u01", researcher_ids=["r1"]))]
     recs_copy, pubs_copy = list(recs), list(pubs)
-    dataset = validate_dataset(recs, pubs, baseline())
+    dataset = validate_dataset(recs, pubs, baseline(), CONFIG)
     assert recs == recs_copy and pubs == pubs_copy
     assert dataset.researchers == tuple(recs_copy)
     assert dataset.publications == tuple(pubs_copy)
 
 
-def _population_of(researchers, config=AssessmentConfig()):
-    dataset = validate_dataset(researchers, [], baseline())
+def _population_of(researchers, config=CONFIG):
+    dataset = validate_dataset(researchers, [], baseline(), config)
     return apply_exclusions(dataset, config)
 
 
@@ -179,6 +196,8 @@ def test_baseline_rejects_non_positive_mean():
         {"skewness_tolerance": 0.0},
         {"grand_mean_mode": "median"},
         {"salary_coefficients": {Rank.ASSISTANT: 1.0}},
+        {"skewness_target": "median"},
+        {"weighting_scheme": "bogus"},
     ],
 )
 def test_config_invariants(kwargs):

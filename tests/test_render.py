@@ -9,7 +9,6 @@ from fssfunnel.errors import EmptyReport
 from fssfunnel.funnel import (
     FunnelReport,
     PooledFit,
-    band_curve,
     confidence_bands,
     qq_points,
 )
@@ -64,9 +63,8 @@ def test_funnel_band_half_width_strictly_decreases_with_size():
     report = _three_institution_report()
     sizes = range(1, max(s.size for s in report.summaries) + 1)
     for z in (2.0, 3.0):
-        halves = [
-            (b.upper - b.lower) / 2 for b in band_curve(report.fit, z, sizes)
-        ]
+        bands = [confidence_bands(report.fit, n, z) for n in sizes]
+        halves = [(b.upper - b.lower) / 2 for b in bands]
         assert all(a > b for a, b in zip(halves, halves[1:]))
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fssfunnel.cli import draw_fss_sample
@@ -74,13 +74,17 @@ def test_log_shift_rejects_negative_values():
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=2, max_size=50, unique=True),
        st.floats(min_value=1e-6, max_value=100))
+@example(values=[1.034e-21, 0.0], delta=1e-6)
+@example(values=[1000000.0, 999999.9999999999], delta=1.0)
 @settings(max_examples=150)
 def test_log_shift_preserves_ranking(values, delta):
-    arr = np.asarray(values)
-    if np.unique(arr + delta).size < arr.size:
-        return  # values collapse to float ties after the shift
-    transformed = log_shift_transform(values, delta)
-    assert list(np.argsort(values)) == list(np.argsort(transformed))
+    # At float resolution the shift and the log can map distinct values to
+    # equal ones, so order is strict only where no two results tie.
+    order = np.argsort(values)
+    transformed = np.asarray(log_shift_transform(values, delta))
+    assert np.all(np.diff(transformed[order]) >= 0)
+    if np.unique(transformed).size == len(values):
+        assert list(order) == list(np.argsort(transformed))
 
 
 def _symmetric_sample(rng, half_size):
