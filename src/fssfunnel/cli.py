@@ -229,9 +229,8 @@ def parse_config_file(path: str) -> AssessmentConfig:
         raise IoError(path, exc.strerror or str(exc)) from exc
 
     schema = _config_file_keys()
-    defaults = AssessmentConfig()
     seen: set[str] = set()
-    overrides: dict[str, object] = {}
+    entries: list[tuple[int, str, object]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -245,20 +244,46 @@ def parse_config_file(path: str) -> AssessmentConfig:
         if key in seen:
             raise ParseError(path, line_no, key, "key given twice")
         seen.add(key)
-        name, hint, member = schema[key]
         try:
-            converted = _convert(hint, value.strip())
+            converted = _convert(schema[key][1], value.strip())
         except ValueError as exc:
             raise ParseError(path, line_no, key, str(exc)) from None
-        if member is None:
-            overrides[name] = converted
-        else:
-            overrides.setdefault(name, dict(getattr(defaults, name)))[member] = converted
+        entries.append((line_no, key, converted))
 
     try:
-        return AssessmentConfig(**overrides)
+        return AssessmentConfig(**_overrides(schema, entries))
     except ValueError as exc:
-        raise ParseError(path, 1, "config", str(exc)) from None
+        message = str(exc)
+    # Name the first line at which the lines read so far break this invariant.
+    line_no, key = next(
+        (line_no, key)
+        for count, (line_no, key, _) in enumerate(entries, start=1)
+        if _invariant_failure(schema, entries[:count]) == message
+    )
+    raise ParseError(path, line_no, key, message)
+
+
+def _overrides(schema, entries) -> dict[str, object]:
+    """AssessmentConfig keyword arguments from parsed (line, key, value)
+    entries; a per-member key overrides one entry of its field's default."""
+    defaults = AssessmentConfig()
+    overrides: dict[str, object] = {}
+    for _, key, value in entries:
+        name, _, member = schema[key]
+        if member is None:
+            overrides[name] = value
+        else:
+            overrides.setdefault(name, dict(getattr(defaults, name)))[member] = value
+    return overrides
+
+
+def _invariant_failure(schema, entries) -> str | None:
+    """The AssessmentConfig invariant these entries break, or None."""
+    try:
+        AssessmentConfig(**_overrides(schema, entries))
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ institution outside the bands is a candidate outlier, not a ranked winner.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
@@ -302,10 +303,11 @@ def _solve_transform(
 
 
 def performance_ranks(summaries) -> dict[str, int]:
-    """Competition ranks by transformed mean, best first. Point ranks carry no
+    """Competition ranks by transformed mean, best first: one plus the number
+    of strictly greater means, so ties share a rank. Point ranks carry no
     uncertainty; they are reported only with that caveat attached."""
-    means = [s.mean_transformed for s in summaries]
+    ascending = sorted(s.mean_transformed for s in summaries)
     return {
-        s.institution_id: 1 + sum(1 for m in means if m > s.mean_transformed)
+        s.institution_id: 1 + len(ascending) - bisect_right(ascending, s.mean_transformed)
         for s in summaries
     }

@@ -9,6 +9,7 @@ active.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import EmptyAuthorList, ZeroYearsActive
 from .model import (
@@ -70,14 +71,27 @@ def fractional_weights(
     rest), and the assigned weights are renormalized to sum to 1 so degenerate
     bylines (fewer authors than named positions) keep total credit constant.
     The uniform scheme gives every author 1/A.
+
+    The vector depends only on the byline length, on whether the first and
+    last authors share an institution and on the scheme, so it is built once
+    per distinct triple and shared.
     """
     count = len(authors)
     if count == 0:
         raise EmptyAuthorList("a publication needs at least one author")
+    intramural = authors[0].institution_id == authors[-1].institution_id
+    return _weights_for(count, intramural, scheme)
+
+
+# Bounded, because the vectors of many distinct long bylines would otherwise
+# pile up; a run sees few distinct (length, intramural, scheme) triples.
+@lru_cache(maxsize=256)
+def _weights_for(
+    count: int, intramural: bool, scheme: WeightingScheme
+) -> FractionalWeights:
     if scheme is WeightingScheme.UNIFORM:
         raw = [1.0 / count] * count
     else:
-        intramural = authors[0].institution_id == authors[-1].institution_id
         raw = _positional_weights(count, intramural)
     total = sum(raw)
     return FractionalWeights(tuple(w / total for w in raw))
@@ -146,9 +160,9 @@ def researcher_fss(
 
 
 def _byline_index(pub: PublicationRecord, researcher_id: str) -> int:
-    for i, slot in enumerate(pub.authors):
-        if slot.researcher_id == researcher_id:
-            return i
-    raise ValueError(
-        f"publication {pub.publication_id!r} is not authored by {researcher_id!r}"
-    )
+    try:
+        return pub.first_slots[researcher_id]
+    except KeyError:
+        raise ValueError(
+            f"publication {pub.publication_id!r} is not authored by {researcher_id!r}"
+        ) from None

@@ -7,8 +7,10 @@ faculty is too small. Both thresholds live in :class:`AssessmentConfig`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     DataViolation,
@@ -51,7 +53,7 @@ class SkewnessTarget(Enum):
     INSTITUTION_MEANS = "institution_means"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResearcherRecord:
     researcher_id: str
     institution_id: str
@@ -64,7 +66,7 @@ class ResearcherRecord:
             raise ValueError(f"years_active must be >= 0, got {self.years_active}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorSlot:
     """One byline position. ``researcher_id`` is None for authors outside
     the assessed population; ``institution_id`` is the affiliation on this
@@ -91,6 +93,16 @@ class PublicationRecord:
         if self.citations < 0:
             raise ValueError(f"citations must be >= 0, got {self.citations}")
         object.__setattr__(self, "authors", tuple(self.authors))
+
+    @cached_property
+    def first_slots(self) -> dict[str, int]:
+        """Researcher id -> index of that researcher's first byline slot.
+        Built on first use; authors outside the population are not keys."""
+        index: dict[str, int] = {}
+        for i, slot in enumerate(self.authors):
+            if slot.researcher_id is not None:
+                index.setdefault(slot.researcher_id, i)
+        return index
 
 
 @dataclass(frozen=True)
@@ -287,7 +299,10 @@ def _author_list_violations(
             )
             break
     listed = [s.researcher_id for s in pub.authors if s.researcher_id is not None]
-    duplicated = {rid for rid in listed if listed.count(rid) > 1}
+    duplicated: set[str] = set()
+    # Counting is the rare path; the set is cheaper on short bylines.
+    if len(set(listed)) != len(listed):
+        duplicated = {rid for rid, count in Counter(listed).items() if count > 1}
     for rid in sorted(duplicated):
         errors.append(
             MalformedAuthorList(

@@ -224,6 +224,15 @@ def test_years_active_beyond_period_is_rejected(tmp_path, capsys):
         ("min_faculty=4\nmin_faculty=5", "'min_faculty': key given twice"),
         ("grand_mean_mode=median", "'grand_mean_mode': expected one of"),
         ("delta_bracket=0.5", "'delta_bracket': expected"),
+        # A broken invariant is named at the first line by which the lines
+        # read so far break it.
+        ("min_faculty=2\n# note\nband_z_levels=3,2", "config.txt:3: column 'band_z_levels'"),
+        ("period_start=2010\nperiod_end=2009", "config.txt:2: column 'period_end'"),
+        # The first line alone breaks the period rule, but the second mends it.
+        ("period_start=2015\nperiod_end=2020\ndelta_bracket=2,1",
+         "config.txt:3: column 'delta_bracket'"),
+        ("salary_coefficient_full=0\nmin_faculty=2",
+         "config.txt:1: column 'salary_coefficient_full'"),
     ],
 )
 def test_config_file_errors(tmp_path, capsys, line, fragment):

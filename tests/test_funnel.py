@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fssfunnel.funnel import (
     classify_institution,
     confidence_bands,
     fit_pooled,
+    performance_ranks,
     qq_points,
     size_slope,
 )
@@ -363,3 +365,30 @@ def test_coverage_calibration_quick():
         for _, v in groups
     )
     assert 0.033 <= outside / 5000 <= 0.058
+
+
+# Mostly a few distinct values (signed zeros, neighbouring floats), so most
+# draws hold ties.
+tied_means = st.lists(
+    st.one_of(
+        st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.25000000000000006, 3.0]),
+        st.floats(-10.0, 10.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(tied_means)
+@settings(max_examples=200)
+def test_performance_ranks_match_the_counting_definition(means):
+    summaries = [
+        SimpleNamespace(institution_id=f"g{j}", mean_transformed=m)
+        for j, m in enumerate(means)
+    ]
+    # Competition rank: one plus the number of strictly greater means.
+    expected = {
+        s.institution_id: 1 + sum(1 for m in means if m > s.mean_transformed)
+        for s in summaries
+    }
+    assert performance_ranks(summaries) == expected

@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fssfunnel import indicator
 from fssfunnel.errors import EmptyAuthorList, MissingBaseline, MissingScore, ZeroYearsActive
 from fssfunnel.funnel import build_funnel_report
 from fssfunnel.indicator import (
@@ -200,6 +201,109 @@ def test_fss_invariant_under_publication_order():
     forward = researcher_fss(rec, pubs, baseline(), CONFIG).fss
     backward = researcher_fss(rec, list(reversed(pubs)), baseline(), CONFIG).fss
     assert math.isclose(forward, backward, rel_tol=1e-12)
+
+
+def _fresh_weights(authors, scheme):
+    """The byline's credit vector, built from the tier rule on every call."""
+    count = len(authors)
+    ends = {0, count - 1}
+    if scheme is WeightingScheme.UNIFORM:
+        raw = [1.0 / count] * count
+    elif authors[0].institution_id == authors[-1].institution_id:
+        raw = [0.40 if i in ends else 0.20 / (count - len(ends)) for i in range(count)]
+    else:
+        near = {1, count - 2} - ends
+        others = count - len(ends) - len(near)
+        raw = [
+            0.30 if i in ends else 0.15 if i in near else 0.10 / others
+            for i in range(count)
+        ]
+    total = sum(raw)
+    return [w / total for w in raw]
+
+
+def _reference_fss(rec, pubs, entries, config):
+    """FSS with fresh weights and a linear scan for the researcher's first slot."""
+    total = 0.0
+    for pub in pubs:
+        weights = _fresh_weights(pub.authors, config.weighting_scheme)
+        index = next(
+            i for i, slot in enumerate(pub.authors)
+            if slot.researcher_id == rec.researcher_id
+        )
+        impact = pub.citations / entries.lookup(pub.year, pub.subject_category)
+        total += impact * weights[index]
+    return total / config.salary_coefficients[rec.rank] / rec.years_active
+
+
+# A byline that names r1 at least once; ids may repeat, as on the library
+# path, which does not validate.
+bylines_with_r1 = st.lists(
+    st.tuples(st.sampled_from(["r1", "r2", None]), st.sampled_from(["u01", "u02", "x"])),
+    min_size=1,
+    max_size=12,
+).filter(lambda slots: any(rid == "r1" for rid, _ in slots))
+
+
+@given(
+    st.lists(st.tuples(bylines_with_r1, st.integers(0, 50)), min_size=1, max_size=5),
+    st.sampled_from(list(WeightingScheme)),
+    st.integers(1, 5),
+)
+# r1 in the second and last of four slots: the second slot's credit counts.
+@example([([(None, "u01"), ("r1", "x"), (None, "y"), ("r1", "u02")], 10)],
+         WeightingScheme.LIFE_SCIENCE, 1)
+@settings(max_examples=200)
+def test_fss_equals_fresh_weights_and_linear_scan(papers, scheme, years):
+    rec = researcher("r1", rank=Rank.ASSOCIATE, years=years)
+    pubs = [
+        publication(
+            f"p{i}",
+            citations,
+            byline(*(inst for _, inst in slots), researcher_ids=[rid for rid, _ in slots]),
+        )
+        for i, (slots, citations) in enumerate(papers)
+    ]
+    config = AssessmentConfig(weighting_scheme=scheme)
+    expected = _reference_fss(rec, pubs, baseline(), config)
+    # Twice, so the second pass reads every cached weight vector and slot map.
+    assert researcher_fss(rec, pubs, baseline(), config).fss == expected
+    assert researcher_fss(rec, pubs, baseline(), config).fss == expected
+
+
+def test_researcher_off_the_byline_is_rejected():
+    pub = publication("p1", 10, byline("u01", "u02", researcher_ids=["r1", None]))
+    with pytest.raises(ValueError, match="not authored by 'r2'"):
+        researcher_fss(researcher("r2"), [pub], baseline(), CONFIG)
+
+
+def test_long_byline_builds_weights_once_per_distinct_key(monkeypatch):
+    builds = []
+    positional = indicator._positional_weights
+
+    def counted(count, intramural):
+        builds.append((count, intramural))
+        return positional(count, intramural)
+
+    monkeypatch.setattr(indicator, "_positional_weights", counted)
+    indicator._weights_for.cache_clear()
+    ids = [f"r{i:04d}" for i in range(2000)]
+    recs = [researcher(rid, years=1) for rid in ids]
+    intramural = publication("p1", 7, byline(*["u01"] * 2000, researcher_ids=ids))
+    extramural = publication(
+        "p2", 7, byline(*["u01"] * 1999, "u02", researcher_ids=ids)
+    )
+    for scheme in WeightingScheme:
+        config = AssessmentConfig(weighting_scheme=scheme)
+        for pub in (intramural, extramural):
+            credit = sum(
+                researcher_fss(rec, [pub], baseline(), config).fss for rec in recs
+            )
+            assert math.isclose(credit, 7 / 5.0, rel_tol=1e-12)
+    # Positional weights once per (length, intramural) under the life-science
+    # scheme; one vector per key in all, the uniform one ignoring position.
+    assert builds == [(2000, True), (2000, False)]
+    assert indicator._weights_for.cache_info().misses == 4
 
 
 # Institution means are taken by build_funnel_report from these scores.

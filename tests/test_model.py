@@ -96,6 +96,20 @@ def test_validate_collects_all_violations():
     assert kinds == {DuplicateResearcherId, UnknownResearcherRef, MissingBaseline}
 
 
+def test_long_byline_violations_keep_their_order():
+    # Sorted duplicates first, then unknown ids in byline order.
+    ids = [f"r{i:04d}" for i in range(1997)] + ["r0100", "ghost", "r0005"]
+    authors = byline(*["u01"] * len(ids), researcher_ids=ids)
+    recs = [researcher(rid) for rid in ids[:1997]]
+    with pytest.raises(ValidationErrors) as exc:
+        validate_dataset(recs, [publication("p1", 1, authors)], baseline(), CONFIG)
+    assert [(type(v), str(v)) for v in exc.value.errors] == [
+        (MalformedAuthorList, "publication 'p1': researcher 'r0005' occupies multiple author slots"),
+        (MalformedAuthorList, "publication 'p1': researcher 'r0100' occupies multiple author slots"),
+        (UnknownResearcherRef, "publication 'p1' references unknown researcher 'ghost'"),
+    ]
+
+
 def test_validate_years_active_beyond_period():
     # The default period 2008-2012 is 5 years long.
     recs = [researcher("r1", years=5), researcher("r2", years=6)]
