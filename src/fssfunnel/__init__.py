@@ -57,12 +57,7 @@ from .model import (
     apply_exclusions,
     validate_dataset,
 )
-from .render import (
-    PlotStyle,
-    render_caterpillar_svg,
-    render_funnel_svg,
-    render_qq_svg,
-)
+from .render import render_caterpillar_svg, render_funnel_svg, render_qq_svg
 from .transform import (
     TransformSpec,
     log_shift_transform,

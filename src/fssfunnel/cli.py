@@ -19,12 +19,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -44,7 +46,7 @@ from .model import (
     apply_exclusions,
     validate_dataset,
 )
-from .render import PlotStyle, render_caterpillar_svg, render_funnel_svg, render_qq_svg
+from .render import render_caterpillar_svg, render_funnel_svg, render_qq_svg
 
 RESEARCHER_HEADER = ["researcher_id", "institution_id", "field_code", "rank", "years_active"]
 PUBLICATION_HEADER = ["publication_id", "year", "subject_category", "citations", "authors"]
@@ -56,19 +58,6 @@ RANK_CAVEAT = (
 )
 
 _RANK_BY_NAME = {r.value.lower(): r for r in Rank}
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    researchers_path: str
-    publications_path: str
-    baselines_path: str
-    config_path: str | None
-    report_path: str
-    funnel_svg_path: str | None = None
-    qq_svg_path: str | None = None
-    caterpillar_svg_path: str | None = None
-    quiet: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +351,41 @@ def report_payload(report: FunnelReport) -> dict:
     }
 
 
-def emit_report(report: FunnelReport, destination: str | None = None) -> str:
-    """Serialize the report; when a destination is given, write atomically."""
-    text = json.dumps(report_payload(report), indent=2, allow_nan=False) + "\n"
-    if destination is not None:
-        _write_text(destination, text)
-    return text
+def emit_report(report: FunnelReport) -> str:
+    """The report as JSON text."""
+    return json.dumps(report_payload(report), indent=2, allow_nan=False) + "\n"
 
 
-def _write_text(destination: str, text: str) -> None:
-    path = Path(destination)
-    tmp = path.with_name(path.name + ".tmp")
+def _write_all(outputs: dict[str, str]) -> None:
+    """Write each destination's text through a uniquely named temp file
+    beside it.
+
+    Nothing is renamed until every temp file is written, so a write that fails
+    (a missing directory, a full disk) leaves every destination as it was.
+    Temp files not yet renamed when anything fails are removed; an OSError
+    becomes an IoError naming the destination it hit. Temp files are created
+    with mode 0o666, as ``open`` creates files, so the umask and default ACLs
+    give each output the mode a plain write would.
+    """
+    pending: list[tuple[Path, str]] = []
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        for destination, text in outputs.items():
+            path = Path(destination)
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            pending.append((tmp, destination))
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        while pending:
+            tmp, destination = pending[0]
+            os.replace(tmp, destination)
+            pending.pop(0)
     except OSError as exc:
-        raise IoError(str(destination), exc.strerror or str(exc)) from exc
+        raise IoError(destination, exc.strerror or str(exc)) from exc
+    finally:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +393,13 @@ def _write_text(destination: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_assessment(request: RunRequest) -> int:
+def run_assessment(args: argparse.Namespace) -> int:
+    """The ``assess`` command on its parsed arguments; returns the exit code."""
     try:
-        researchers = read_researchers_csv(request.researchers_path)
-        publications = read_publications_csv(request.publications_path)
-        baselines = read_baselines_csv(request.baselines_path)
-        config = (
-            parse_config_file(request.config_path)
-            if request.config_path
-            else AssessmentConfig()
-        )
+        researchers = read_researchers_csv(args.researchers)
+        publications = read_publications_csv(args.publications)
+        baselines = read_baselines_csv(args.baselines)
+        config = parse_config_file(args.config) if args.config else AssessmentConfig()
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -418,28 +423,24 @@ def run_assessment(request: RunRequest) -> int:
             for rec in population.researchers
         ]
         report = build_funnel_report(population, scores, config)
-        outputs = {request.report_path: emit_report(report)}
-        style = PlotStyle()
-        if request.funnel_svg_path:
-            outputs[request.funnel_svg_path] = render_funnel_svg(report, style)
-        if request.qq_svg_path:
-            outputs[request.qq_svg_path] = render_qq_svg(report, style)
-        if request.caterpillar_svg_path:
-            outputs[request.caterpillar_svg_path] = render_caterpillar_svg(
-                report, style, config.inner_z
-            )
+        outputs = {args.report: emit_report(report)}
+        if args.funnel_svg:
+            outputs[args.funnel_svg] = render_funnel_svg(report)
+        if args.qq_svg:
+            outputs[args.qq_svg] = render_qq_svg(report)
+        if args.caterpillar_svg:
+            outputs[args.caterpillar_svg] = render_caterpillar_svg(report)
     except AssessmentError as exc:
         print(f"error: pipeline failed: {exc}", file=sys.stderr)
         return 3
 
     try:
-        for destination, text in outputs.items():
-            _write_text(destination, text)
+        _write_all(outputs)
     except IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if not request.quiet:
+    if not args.quiet:
         flagged = sum(
             1 for s in report.summaries if s.classification.value != "within"
         )
@@ -530,9 +531,9 @@ def generate_synthetic_dataset(
     skewness: float = 3.1,
     institution_effect_sd: float = 0.0,
     seed: int = 12345,
-    config: AssessmentConfig = AssessmentConfig(),
 ) -> dict[str, str]:
-    """Write a researchers/publications/baselines/config fixture under out_dir.
+    """Write a researchers/publications/baselines/config fixture under out_dir,
+    for the default AssessmentConfig, which the written config file repeats.
 
     Each researcher's publications are reverse-engineered so the pipeline
     reproduces a target productivity drawn from the requested distribution:
@@ -544,6 +545,7 @@ def generate_synthetic_dataset(
         raise ValueError("institutions must be >= 1")
     if not (1 <= size_min <= size_max):
         raise ValueError("need 1 <= size_min <= size_max")
+    config = AssessmentConfig()
     rng = np.random.default_rng(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -586,16 +588,14 @@ def generate_synthetic_dataset(
         "baselines": str(out / "baselines.csv"),
         "config": str(out / "config.txt"),
     }
-    _write_csv(paths["researchers"], RESEARCHER_HEADER, researcher_rows)
-    _write_csv(paths["publications"], PUBLICATION_HEADER, publication_rows)
-    _write_csv(
-        paths["baselines"],
-        BASELINE_HEADER,
-        [[str(year), category, f"{baselines[year]:g}"] for year in years],
-    )
-    _write_text(
-        paths["config"],
-        "\n".join(
+    _write_all({
+        paths["researchers"]: _csv_text(RESEARCHER_HEADER, researcher_rows),
+        paths["publications"]: _csv_text(PUBLICATION_HEADER, publication_rows),
+        paths["baselines"]: _csv_text(
+            BASELINE_HEADER,
+            [[str(year), category, f"{baselines[year]:g}"] for year in years],
+        ),
+        paths["config"]: "\n".join(
             [
                 "# synthetic fixture configuration",
                 f"period_start={config.period_start}",
@@ -605,7 +605,7 @@ def generate_synthetic_dataset(
             ]
         )
         + "\n",
-    )
+    })
     return paths
 
 
@@ -668,17 +668,12 @@ def _format_byline(slots) -> str:
     )
 
 
-def _write_csv(destination: str, header: list[str], rows) -> None:
-    path = Path(destination)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(str(destination), exc.strerror or str(exc)) from exc
+def _csv_text(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -725,18 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "assess":
-        request = RunRequest(
-            researchers_path=args.researchers,
-            publications_path=args.publications,
-            baselines_path=args.baselines,
-            config_path=args.config,
-            report_path=args.report,
-            funnel_svg_path=args.funnel_svg,
-            qq_svg_path=args.qq_svg,
-            caterpillar_svg_path=args.caterpillar_svg,
-            quiet=args.quiet,
-        )
-        return run_assessment(request)
+        return run_assessment(args)
 
     try:
         paths = generate_synthetic_dataset(

@@ -214,9 +214,9 @@ def build_funnel_report(
     """Run transform, fit, bands, classification, and diagnostics end to end.
 
     Institutions are ordered by id throughout, so identical inputs produce an
-    identical report. Diagnostics that need more institutions than the report
-    has (quantile plot, size regression) are set to None rather than failing
-    the whole report.
+    identical report. A pooled SD of 0 raises DegenerateSample. Diagnostics
+    that need more institutions than the report has (quantile plot, size
+    regression) are set to None rather than failing the whole report.
     """
     score_by_id: dict[str, ResearcherScore] = {}
     for score in scores:
@@ -241,6 +241,11 @@ def build_funnel_report(
         (inst, log_shift_transform(values, spec.delta)) for inst, values in original_groups
     ]
     fit = fit_pooled(transformed_groups, config.grand_mean_mode)
+    if fit.pooled_sd == 0.0:
+        raise DegenerateSample(
+            "pooled SD is 0: every institution is constant inside, so the bands "
+            "would have zero width"
+        )
 
     summaries = []
     for (inst, values), (_, original) in zip(transformed_groups, original_groups):

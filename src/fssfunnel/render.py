@@ -1,60 +1,33 @@
 """Self-contained SVG figures: funnel, normal quantile, caterpillar.
 
-Everything is plain string assembly with fixed number formatting, so identical
-(report, style) inputs produce byte-identical documents. No external fonts,
-stylesheets, or scripts; all styling is inline.
+Everything is plain string assembly with fixed number formatting, so an
+identical report produces byte-identical documents. No external fonts,
+stylesheets, or scripts; all styling is inline, from the constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import ceil, exp, floor, log10, sqrt
 from xml.sax.saxutils import escape
 
 from .errors import EmptyReport
 from .funnel import Classification, FunnelReport, confidence_bands
 
-DEFAULT_COLORS = {
+WIDTH, HEIGHT = 760, 520
+# Edges of the plotting area, in pixels.
+LEFT, RIGHT, TOP, BOTTOM = 64, WIDTH - 64, 30, HEIGHT - 48
+POINT_RADIUS = 3.5
+MARKER_COLORS = {
     Classification.WITHIN: "#4878a8",
     Classification.ABOVE_INNER: "#2e8540",
     Classification.ABOVE_OUTER: "#1b5e20",
     Classification.BELOW_INNER: "#c0392b",
     Classification.BELOW_OUTER: "#7b241c",
 }
-
-
-@dataclass(frozen=True)
-class PlotStyle:
-    width: int = 760
-    height: int = 520
-    margin_left: int = 64
-    margin_right: int = 64
-    margin_top: int = 30
-    margin_bottom: int = 48
-    point_radius: float = 3.5
-    colors: dict[Classification, str] = field(
-        default_factory=lambda: dict(DEFAULT_COLORS)
-    )
-    band_color: str = "#707070"
-    mean_color: str = "#202020"
-    font_family: str = "Helvetica, Arial, sans-serif"
-    font_size: int = 11
-    show_labels: bool = False
-    show_outer_bands: bool = True
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("width and height must be positive")
-        if self.plot_width <= 0 or self.plot_height <= 0:
-            raise ValueError("margins leave no plotting area")
-
-    @property
-    def plot_width(self) -> float:
-        return self.width - self.margin_left - self.margin_right
-
-    @property
-    def plot_height(self) -> float:
-        return self.height - self.margin_top - self.margin_bottom
+BAND_COLOR = "#707070"
+MEAN_COLOR = "#202020"
+FONT_FAMILY = "Helvetica, Arial, sans-serif"
+FONT_SIZE = 11
 
 
 def _px(value: float) -> str:
@@ -68,8 +41,7 @@ def _tick_label(value: float) -> str:
 class _Frame:
     """Affine data-to-pixel mapping; y grows upward in data, downward in pixels."""
 
-    def __init__(self, style: PlotStyle, x_range, y_range):
-        self.style = style
+    def __init__(self, x_range, y_range):
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
         if self.x1 <= self.x0 or self.y1 <= self.y0:
@@ -77,27 +49,11 @@ class _Frame:
 
     def x(self, value: float) -> float:
         frac = (value - self.x0) / (self.x1 - self.x0)
-        return self.style.margin_left + frac * self.style.plot_width
+        return LEFT + frac * (RIGHT - LEFT)
 
     def y(self, value: float) -> float:
         frac = (value - self.y0) / (self.y1 - self.y0)
-        return self.style.margin_top + (1.0 - frac) * self.style.plot_height
-
-    @property
-    def left(self) -> float:
-        return self.style.margin_left
-
-    @property
-    def right(self) -> float:
-        return self.style.margin_left + self.style.plot_width
-
-    @property
-    def top(self) -> float:
-        return self.style.margin_top
-
-    @property
-    def bottom(self) -> float:
-        return self.style.margin_top + self.style.plot_height
+        return TOP + (1.0 - frac) * (BOTTOM - TOP)
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -127,80 +83,79 @@ def _pad_range(lo: float, hi: float, frac: float = 0.08) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _header(style: PlotStyle) -> list[str]:
+def _header() -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width}" height="{style.height}" '
-        f'viewBox="0 0 {style.width} {style.height}">',
-        f'<rect x="0" y="0" width="{style.width}" height="{style.height}" fill="#ffffff"/>',
+        f'width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
 
 
-def _text(style: PlotStyle, x: float, y: float, content: str, anchor: str = "middle",
+def _text(x: float, y: float, content: str, anchor: str = "middle",
           cls: str = "tick-label", rotate: float | None = None) -> str:
     transform = f' transform="rotate({_px(rotate)} {_px(x)} {_px(y)})"' if rotate is not None else ""
     return (
         f'<text class="{cls}" x="{_px(x)}" y="{_px(y)}" text-anchor="{anchor}" '
-        f'font-family="{escape(style.font_family)}" font-size="{style.font_size}" '
+        f'font-family="{escape(FONT_FAMILY)}" font-size="{FONT_SIZE}" '
         f'fill="#303030"{transform}>{escape(content)}</text>'
     )
 
 
-def _axes(style: PlotStyle, frame: _Frame, x_ticks, y_ticks,
+def _axes(frame: _Frame, x_ticks, y_ticks,
           x_label: str, y_label: str) -> list[str]:
     parts = [
-        f'<line class="axis" x1="{_px(frame.left)}" y1="{_px(frame.bottom)}" '
-        f'x2="{_px(frame.right)}" y2="{_px(frame.bottom)}" stroke="#303030" stroke-width="1"/>',
-        f'<line class="axis" x1="{_px(frame.left)}" y1="{_px(frame.top)}" '
-        f'x2="{_px(frame.left)}" y2="{_px(frame.bottom)}" stroke="#303030" stroke-width="1"/>',
+        f'<line class="axis" x1="{_px(LEFT)}" y1="{_px(BOTTOM)}" '
+        f'x2="{_px(RIGHT)}" y2="{_px(BOTTOM)}" stroke="#303030" stroke-width="1"/>',
+        f'<line class="axis" x1="{_px(LEFT)}" y1="{_px(TOP)}" '
+        f'x2="{_px(LEFT)}" y2="{_px(BOTTOM)}" stroke="#303030" stroke-width="1"/>',
     ]
     for tick in x_ticks:
         if tick < frame.x0 - 1e-12 or tick > frame.x1 + 1e-12:
             continue
         x = frame.x(tick)
         parts.append(
-            f'<line class="tick" x1="{_px(x)}" y1="{_px(frame.bottom)}" '
-            f'x2="{_px(x)}" y2="{_px(frame.bottom + 4)}" stroke="#303030" stroke-width="1"/>'
+            f'<line class="tick" x1="{_px(x)}" y1="{_px(BOTTOM)}" '
+            f'x2="{_px(x)}" y2="{_px(BOTTOM + 4)}" stroke="#303030" stroke-width="1"/>'
         )
-        parts.append(_text(style, x, frame.bottom + 16, _tick_label(tick)))
+        parts.append(_text(x, BOTTOM + 16, _tick_label(tick)))
     for tick in y_ticks:
         if tick < frame.y0 - 1e-12 or tick > frame.y1 + 1e-12:
             continue
         y = frame.y(tick)
         parts.append(
-            f'<line class="tick" x1="{_px(frame.left - 4)}" y1="{_px(y)}" '
-            f'x2="{_px(frame.left)}" y2="{_px(y)}" stroke="#303030" stroke-width="1"/>'
+            f'<line class="tick" x1="{_px(LEFT - 4)}" y1="{_px(y)}" '
+            f'x2="{_px(LEFT)}" y2="{_px(y)}" stroke="#303030" stroke-width="1"/>'
         )
-        parts.append(_text(style, frame.left - 7, y + 3.5, _tick_label(tick), anchor="end"))
+        parts.append(_text(LEFT - 7, y + 3.5, _tick_label(tick), anchor="end"))
     parts.append(
-        _text(style, (frame.left + frame.right) / 2, frame.bottom + 34, x_label, cls="axis-label")
+        _text((LEFT + RIGHT) / 2, BOTTOM + 34, x_label, cls="axis-label")
     )
     parts.append(
-        _text(style, frame.left - 46, (frame.top + frame.bottom) / 2, y_label,
+        _text(LEFT - 46, (TOP + BOTTOM) / 2, y_label,
               cls="axis-label", rotate=-90.0)
     )
     return parts
 
 
-def _marker(style: PlotStyle, x: float, y: float, cls: Classification) -> str:
-    color = style.colors[cls]
+def _marker(x: float, y: float, cls: Classification) -> str:
     return (
         f'<circle class="marker {cls.value}" cx="{_px(x)}" cy="{_px(y)}" '
-        f'r="{style.point_radius}" fill="{color}" stroke="#ffffff" stroke-width="0.8"/>'
+        f'r="{POINT_RADIUS}" fill="{MARKER_COLORS[cls]}" stroke="#ffffff" stroke-width="0.8"/>'
     )
 
 
-def _polyline(points, cls: str, color: str, dashed: bool) -> str:
+def _polyline(points, cls: str, dashed: bool) -> str:
     coords = " ".join(f"{_px(x)},{_px(y)}" for x, y in points)
     dash = ' stroke-dasharray="5,3"' if dashed else ""
     return (
         f'<polyline class="{cls}" points="{coords}" fill="none" '
-        f'stroke="{color}" stroke-width="1.2"{dash}/>'
+        f'stroke="{BAND_COLOR}" stroke-width="1.2"{dash}/>'
     )
 
 
-def render_funnel_svg(report: FunnelReport, style: PlotStyle = PlotStyle()) -> str:
+def render_funnel_svg(report: FunnelReport) -> str:
     """Scatter of institution means against size, with funnel-shaped bands.
 
     One marker per institution, two pairs of band polylines (inner solid,
@@ -220,12 +175,11 @@ def render_funnel_svg(report: FunnelReport, style: PlotStyle = PlotStyle()) -> s
     widest = confidence_bands(fit, n_lo, report.config.outer_z)
     y_values = [s.mean_transformed for s in report.summaries] + [widest.lower, widest.upper]
     y_range = _pad_range(min(y_values), max(y_values))
-    frame = _Frame(style, (n_lo, n_hi), y_range)
+    frame = _Frame((n_lo, n_hi), y_range)
 
-    parts = _header(style)
+    parts = _header()
     parts += _axes(
-        style, frame,
-        _nice_ticks(n_lo, n_hi), _nice_ticks(*y_range),
+        frame, _nice_ticks(n_lo, n_hi), _nice_ticks(*y_range),
         "faculty size (n)", "mean of transformed index",
     )
     # Secondary axis: left ticks back-transformed to the original index scale.
@@ -234,72 +188,67 @@ def render_funnel_svg(report: FunnelReport, style: PlotStyle = PlotStyle()) -> s
             continue
         original = exp(tick) - report.transform.delta
         parts.append(
-            _text(style, frame.right + 7, frame.y(tick) + 3.5,
+            _text(RIGHT + 7, frame.y(tick) + 3.5,
                   f"{original:.3g}", anchor="start")
         )
     parts.append(
-        _text(style, frame.right + 46, (frame.top + frame.bottom) / 2,
+        _text(RIGHT + 46, (TOP + BOTTOM) / 2,
               "original scale", cls="axis-label", rotate=90.0)
     )
 
-    levels = [(report.config.inner_z, "band inner", False)]
-    if style.show_outer_bands:
-        levels.append((report.config.outer_z, "band outer", True))
-    for z, cls, dashed in levels:
+    for z, cls, dashed in (
+        (report.config.inner_z, "band inner", False),
+        (report.config.outer_z, "band outer", True),
+    ):
         bands = [confidence_bands(fit, n, z) for n in grid]
         for edge in ([b.lower for b in bands], [b.upper for b in bands]):
             points = [(frame.x(n), frame.y(y)) for n, y in zip(grid, edge)]
-            parts.append(_polyline(points, cls, style.band_color, dashed))
+            parts.append(_polyline(points, cls, dashed))
 
     mean_y = frame.y(fit.grand_mean)
     parts.append(
-        f'<line class="grand-mean" x1="{_px(frame.left)}" y1="{_px(mean_y)}" '
-        f'x2="{_px(frame.right)}" y2="{_px(mean_y)}" stroke="{style.mean_color}" '
+        f'<line class="grand-mean" x1="{_px(LEFT)}" y1="{_px(mean_y)}" '
+        f'x2="{_px(RIGHT)}" y2="{_px(mean_y)}" stroke="{MEAN_COLOR}" '
         f'stroke-width="1.4"/>'
     )
 
     for summary in report.summaries:
-        x = frame.x(summary.size)
-        y = frame.y(summary.mean_transformed)
-        parts.append(_marker(style, x, y, summary.classification))
-        if style.show_labels and summary.classification is not Classification.WITHIN:
-            parts.append(
-                _text(style, x + 6, y - 5, summary.institution_id,
-                      anchor="start", cls="label")
-            )
+        parts.append(
+            _marker(frame.x(summary.size), frame.y(summary.mean_transformed),
+                    summary.classification)
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def render_qq_svg(report: FunnelReport, style: PlotStyle = PlotStyle()) -> str:
+def render_qq_svg(report: FunnelReport) -> str:
     """Normal quantile plot of the adjusted means with a 45-degree reference."""
     if not report.qq_points:
         raise EmptyReport("quantile plot needs at least 3 adjusted means")
     values = [v for pair in report.qq_points for v in pair]
     lo, hi = _pad_range(min(values), max(values))
-    frame = _Frame(style, (lo, hi), (lo, hi))
+    frame = _Frame((lo, hi), (lo, hi))
 
-    parts = _header(style)
+    parts = _header()
     ticks = _nice_ticks(lo, hi)
-    parts += _axes(style, frame, ticks, ticks,
+    parts += _axes(frame, ticks, ticks,
                    "theoretical quantile", "adjusted mean")
     parts.append(
         f'<line class="reference" x1="{_px(frame.x(lo))}" y1="{_px(frame.y(lo))}" '
-        f'x2="{_px(frame.x(hi))}" y2="{_px(frame.y(hi))}" stroke="{style.mean_color}" '
+        f'x2="{_px(frame.x(hi))}" y2="{_px(frame.y(hi))}" stroke="{MEAN_COLOR}" '
         f'stroke-width="1" stroke-dasharray="5,3"/>'
     )
     for theoretical, sample in report.qq_points:
         parts.append(
-            _marker(style, frame.x(theoretical), frame.y(sample), Classification.WITHIN)
+            _marker(frame.x(theoretical), frame.y(sample), Classification.WITHIN)
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def render_caterpillar_svg(
-    report: FunnelReport, style: PlotStyle = PlotStyle(), level_z: float = 2.0
-) -> str:
-    """Institutions in ascending order of mean, each with mean +/- z*s/sqrt(n).
+def render_caterpillar_svg(report: FunnelReport) -> str:
+    """Institutions in ascending order of mean, each with mean +/- z*s/sqrt(n),
+    z being the report's inner band level.
 
     Interval length shrinks with size, but unlike the funnel this layout hides
     the size-uncertainty relationship and over-emphasizes rank order; it is
@@ -311,29 +260,29 @@ def render_caterpillar_svg(
     ordered = sorted(
         report.summaries, key=lambda s: (s.mean_transformed, s.institution_id)
     )
-    half = [level_z * fit.pooled_sd / sqrt(s.size) for s in ordered]
+    half = [report.config.inner_z * fit.pooled_sd / sqrt(s.size) for s in ordered]
     y_values = [s.mean_transformed - h for s, h in zip(ordered, half)]
     y_values += [s.mean_transformed + h for s, h in zip(ordered, half)]
     y_values.append(fit.grand_mean)
     y_range = _pad_range(min(y_values), max(y_values))
     count = len(ordered)
-    frame = _Frame(style, (0.0, count + 1.0), y_range)
+    frame = _Frame((0.0, count + 1.0), y_range)
 
     label_every = max(1, count // 12)
     x_ticks = [i for i in range(1, count + 1) if (i - 1) % label_every == 0]
-    parts = _header(style)
-    parts += _axes(style, frame, x_ticks, _nice_ticks(*y_range),
+    parts = _header()
+    parts += _axes(frame, x_ticks, _nice_ticks(*y_range),
                    "institutions (ascending mean)", "mean of transformed index")
     parts.append(
-        _text(style, (frame.left + frame.right) / 2, frame.top - 10,
+        _text((LEFT + RIGHT) / 2, TOP - 10,
               "Overlapping intervals: the displayed order is not statistically meaningful.",
               cls="caveat")
     )
 
     mean_y = frame.y(fit.grand_mean)
     parts.append(
-        f'<line class="grand-mean" x1="{_px(frame.left)}" y1="{_px(mean_y)}" '
-        f'x2="{_px(frame.right)}" y2="{_px(mean_y)}" stroke="{style.mean_color}" '
+        f'<line class="grand-mean" x1="{_px(LEFT)}" y1="{_px(mean_y)}" '
+        f'x2="{_px(RIGHT)}" y2="{_px(mean_y)}" stroke="{MEAN_COLOR}" '
         f'stroke-width="1.4"/>'
     )
     for i, (summary, h) in enumerate(zip(ordered, half), start=1):
@@ -341,14 +290,10 @@ def render_caterpillar_svg(
         parts.append(
             f'<line class="interval" x1="{_px(x)}" y1="{_px(frame.y(summary.mean_transformed - h))}" '
             f'x2="{_px(x)}" y2="{_px(frame.y(summary.mean_transformed + h))}" '
-            f'stroke="{style.band_color}" stroke-width="1.2"/>'
+            f'stroke="{BAND_COLOR}" stroke-width="1.2"/>'
         )
         parts.append(
-            _marker(style, x, frame.y(summary.mean_transformed), summary.classification)
+            _marker(x, frame.y(summary.mean_transformed), summary.classification)
         )
-        if style.show_labels:
-            parts.append(
-                _text(style, x, frame.bottom + 26, summary.institution_id, cls="label")
-            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

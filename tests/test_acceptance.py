@@ -33,7 +33,7 @@ from fssfunnel.model import (
     Rank,
     ResearcherRecord,
 )
-from fssfunnel.render import PlotStyle, render_funnel_svg
+from fssfunnel.render import render_funnel_svg
 from fssfunnel.transform import zero_skewness_delta
 from helpers import make_report
 
@@ -370,14 +370,13 @@ def test_criterion_09_slope_regression_oracle(capsys):
 def test_criterion_10_svg_structure(capsys):
     with announce(capsys, "10 funnel SVG structure for 1, 3, and 42 institutions"):
         rng = np.random.default_rng(1010)
-        style = PlotStyle()
         for count in (1, 3, 42):
             data = {
                 f"u{j:02d}": list(rng.lognormal(-1.5, 0.8, size=int(rng.integers(5, 31))))
                 for j in range(count)
             }
             report = make_report(data)
-            svg = render_funnel_svg(report, style)
+            svg = render_funnel_svg(report)
             root = ET.fromstring(svg)
             markers = [
                 e for e in root.iter() if e.get("class", "").startswith("marker")

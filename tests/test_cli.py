@@ -319,6 +319,46 @@ def test_degenerate_pipeline_is_exit_three(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_zero_pooled_sd_is_exit_three(tmp_path, capsys):
+    # Every researcher of an institution has the same FSS, and the
+    # institutions differ: the pooled SD is 0.
+    paths = write_fixture(tmp_path)
+    researchers = ["researcher_id,institution_id,field_code,rank,years_active"]
+    publications = ["publication_id,year,subject_category,citations,authors"]
+    for inst, size, citations in (("A", 3, 2), ("B", 2, 10), ("C", 4, 20)):
+        for i in range(size):
+            rid = f"{inst.lower()}{i}"
+            researchers.append(f"{rid},{inst},Biochemistry,Assistant,4")
+            publications.append(f"p{rid},2008,Biochemistry,{citations},1:{rid}:{inst}")
+    for name, lines in (("researchers", researchers), ("publications", publications)):
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "config.txt"
+    config.write_text("min_faculty=2\n", encoding="utf-8")
+    assert main(assess_args(paths, tmp_path, ["--config", str(config)])) == 3
+    assert "pooled SD is 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_failed_write_leaves_no_output(tmp_path, capsys):
+    paths = write_fixture(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    args = assess_args(paths, out, ["--quiet"])
+    args[args.index("--funnel-svg") + 1] = str(tmp_path / "missing" / "funnel.svg")
+    assert main(args) == 2
+    assert "funnel.svg" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+    # A successful run's outputs get the mode of a plain write.
+    assert main(assess_args(paths, out, ["--quiet"])) == 0
+    plain = out / "plain.txt"
+    plain.write_text("x", encoding="utf-8")
+    assert (out / "report.json").stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in out.iterdir()) == [
+        "caterpillar.svg", "funnel.svg", "plain.txt", "qq.svg", "report.json",
+    ]
+
+
 def test_parse_error_names_file_line_and_column(tmp_path, capsys):
     paths = write_fixture(tmp_path)
     content = (tmp_path / "publications.csv").read_text().replace("q01,2008,", "q01,round8,")

@@ -291,6 +291,16 @@ def test_report_single_member_fails():
         build_funnel_report(population, scores, config)
 
 
+def test_report_zero_pooled_sd_fails():
+    # Constant inside every institution, different between them: the bands
+    # would have zero width and every institution would be labelled *_outer.
+    population, scores, config = _population_and_scores(
+        {"a": [0.1] * 3, "b": [0.5] * 2, "c": [1.0] * 4}
+    )
+    with pytest.raises(DegenerateSample, match="pooled SD is 0"):
+        build_funnel_report(population, scores, config)
+
+
 def test_report_orders_institutions_and_is_deterministic():
     rng = np.random.default_rng(8)
     data = {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 
@@ -14,7 +15,8 @@ from fssfunnel.funnel import (
 )
 from fssfunnel.model import AssessmentConfig
 from fssfunnel.render import (
-    PlotStyle,
+    HEIGHT,
+    WIDTH,
     render_caterpillar_svg,
     render_funnel_svg,
     render_qq_svg,
@@ -22,35 +24,42 @@ from fssfunnel.render import (
 from fssfunnel.transform import TransformSpec
 from helpers import make_report
 
-STYLE = PlotStyle()
-
 
 def _elements(svg_text, class_prefix):
     root = ET.fromstring(svg_text)
     return [e for e in root.iter() if e.get("class", "").startswith(class_prefix)]
 
 
-def _three_institution_report():
+def _three_institution_report(**config_kwargs):
     rng = np.random.default_rng(4)
     data = {
         "alpha": list(rng.lognormal(-1.5, 0.7, 8)),
         "beta": list(rng.lognormal(-1.5, 0.7, 15)),
         "gamma": list(rng.lognormal(-1.5, 0.7, 30)),
     }
-    return make_report(data)
+    return make_report(data, **config_kwargs)
 
 
 def test_funnel_structure_counts():
-    svg = render_funnel_svg(_three_institution_report(), STYLE)
+    svg = render_funnel_svg(_three_institution_report())
     assert len(_elements(svg, "marker")) == 3
     assert len(_elements(svg, "band")) == 4
     assert len(_elements(svg, "grand-mean")) == 1
 
+    # Institutions outside the bands get no text label.
+    rng = np.random.default_rng(6)
+    data = {f"u{j:02d}": list(rng.lognormal(-1.5, 0.7, 12)) for j in range(20)}
+    data["hot"] = list(rng.lognormal(0.5, 0.3, 12))  # far above the rest
+    report = make_report(data)
+    assert any(s.classification.value != "within" for s in report.summaries)
+    assert not _elements(render_funnel_svg(report), "label")
+
 
 def test_funnel_zero_sd_bands_collapse_onto_mean_line():
-    report = make_report({"A": [0.2] * 5, "B": [0.4] * 5, "C": [0.9] * 5})
-    assert report.fit.pooled_sd == 0.0
-    svg = render_funnel_svg(report, STYLE)
+    # build_funnel_report rejects a zero pooled SD, so set it by hand.
+    report = _three_institution_report()
+    report = dataclasses.replace(report, fit=dataclasses.replace(report.fit, pooled_sd=0.0))
+    svg = render_funnel_svg(report)
     root = ET.fromstring(svg)
     mean_line = next(e for e in root.iter() if e.get("class") == "grand-mean")
     mean_y = mean_line.get("y1")
@@ -68,12 +77,6 @@ def test_funnel_band_half_width_strictly_decreases_with_size():
         assert all(a > b for a, b in zip(halves, halves[1:]))
 
 
-def test_funnel_outer_bands_can_be_hidden():
-    style = PlotStyle(show_outer_bands=False)
-    svg = render_funnel_svg(_three_institution_report(), style)
-    assert len(_elements(svg, "band")) == 2
-
-
 def test_funnel_marker_positions_follow_affine_mapping():
     # Institutions constructed so size order equals mean order: ascending data
     # must land at ascending pixel x and descending pixel y.
@@ -84,7 +87,7 @@ def test_funnel_marker_positions_follow_affine_mapping():
     means = sorted(s.mean_transformed for s in report.summaries)
     sizes = sorted(s.size for s in report.summaries)
     assert [s.mean_transformed for s in sorted(report.summaries, key=lambda s: s.size)] == means
-    svg = render_funnel_svg(report, STYLE)
+    svg = render_funnel_svg(report)
     markers = sorted(_elements(svg, "marker"), key=lambda m: float(m.get("cx")))
     assert len(markers) == 3 and len(sizes) == len(set(sizes))
     cys = [float(m.get("cy")) for m in markers]
@@ -104,20 +107,7 @@ def test_funnel_empty_report_rejected():
         config=report.config,
     )
     with pytest.raises(EmptyReport):
-        render_funnel_svg(empty, STYLE)
-
-
-def test_funnel_labels_outliers_only_when_asked():
-    rng = np.random.default_rng(6)
-    data = {f"u{j:02d}": list(rng.lognormal(-1.5, 0.7, 12)) for j in range(20)}
-    data["hot"] = list(rng.lognormal(0.5, 0.3, 12))  # far above the rest
-    report = make_report(data)
-    assert any(s.classification.value != "within" for s in report.summaries)
-    plain = render_funnel_svg(report, STYLE)
-    labeled = render_funnel_svg(report, PlotStyle(show_labels=True))
-    assert not _elements(plain, "label")
-    outliers = [s for s in report.summaries if s.classification.value != "within"]
-    assert len(_elements(labeled, "label")) == len(outliers)
+        render_funnel_svg(empty)
 
 
 def _qq_report(adjusted):
@@ -134,7 +124,7 @@ def _qq_report(adjusted):
 
 
 def test_qq_structure_counts():
-    svg = render_qq_svg(_qq_report([0.4, -1.2, 3.3, 0.0, 2.2]), STYLE)
+    svg = render_qq_svg(_qq_report([0.4, -1.2, 3.3, 0.0, 2.2]))
     assert len(_elements(svg, "marker")) == 5
     assert len(_elements(svg, "reference")) == 1
     ET.fromstring(svg)
@@ -161,12 +151,12 @@ def test_qq_empty_rejected():
         config=report.config,
     )
     with pytest.raises(EmptyReport):
-        render_qq_svg(gutted, STYLE)
+        render_qq_svg(gutted)
 
 
 def test_caterpillar_orders_institutions_by_mean():
     report = _three_institution_report()
-    svg = render_caterpillar_svg(report, STYLE, level_z=2.0)
+    svg = render_caterpillar_svg(report)
     markers = _elements(svg, "marker")
     assert len(markers) == 3
     xs = [float(m.get("cx")) for m in markers]
@@ -182,7 +172,7 @@ def test_caterpillar_interval_shrinks_with_size():
     # Same value mix in both institutions (equal means), different sizes.
     mix = [0.5, 0.6, 0.7]
     report = make_report({"small": mix * 2, "big": mix * 8})
-    svg = render_caterpillar_svg(report, STYLE, level_z=2.0)
+    svg = render_caterpillar_svg(report)
     intervals = {
         round(float(e.get("x1")), 2): abs(float(e.get("y2")) - float(e.get("y1")))
         for e in _elements(svg, "interval")
@@ -194,40 +184,48 @@ def test_caterpillar_interval_shrinks_with_size():
     assert small.mean_transformed == pytest.approx(big.mean_transformed, abs=1e-12)
 
 
-def test_caterpillar_interval_matches_recentered_band():
-    report = _three_institution_report()
-    for summary in report.summaries:
-        band = confidence_bands(report.fit, summary.size, 2.0)
-        half = (band.upper - band.lower) / 2
-        z_half = 2.0 * report.fit.pooled_sd / math.sqrt(summary.size)
-        assert half == pytest.approx(z_half, rel=1e-12)
-        lower = summary.mean_transformed - half
-        upper = summary.mean_transformed + half
-        assert upper - lower == pytest.approx(band.upper - band.lower, rel=1e-12)
+def _y_pixels_per_unit(svg_text):
+    """Pixels per data unit of the y axis, from its two outermost labelled
+    ticks (the labels sit 3.5 px below their tick)."""
+    ticks = sorted(
+        (float(e.text), float(e.get("y")) - 3.5)
+        for e in _elements(svg_text, "tick-label")
+        if e.get("text-anchor") == "end"
+    )
+    (low, low_y), (high, high_y) = ticks[0], ticks[-1]
+    return (low_y - high_y) / (high - low)
+
+
+@pytest.mark.parametrize(
+    "band_z_levels", [(2.0, 3.0), (2.5, 3.0)], ids=["inner_z=2", "inner_z=2.5"]
+)
+def test_caterpillar_interval_matches_recentered_band(band_z_levels):
+    report = _three_institution_report(band_z_levels=band_z_levels)
+    svg = render_caterpillar_svg(report)
+    scale = _y_pixels_per_unit(svg)
+    intervals = sorted(_elements(svg, "interval"), key=lambda e: float(e.get("x1")))
+    ordered = sorted(report.summaries, key=lambda s: (s.mean_transformed, s.institution_id))
+    assert len(intervals) == len(ordered) == 3
+    for line, summary in zip(intervals, ordered):
+        pixels = float(line.get("y1")) - float(line.get("y2"))
+        width = 2 * band_z_levels[0] * report.fit.pooled_sd / math.sqrt(summary.size)
+        assert pixels == pytest.approx(width * scale, abs=0.05)
 
 
 def test_rendering_is_deterministic():
     report = _three_institution_report()
-    style = PlotStyle(show_labels=True)
-    assert render_funnel_svg(report, style) == render_funnel_svg(report, style)
-    assert render_caterpillar_svg(report, style) == render_caterpillar_svg(report, style)
+    assert render_funnel_svg(report) == render_funnel_svg(report)
+    assert render_caterpillar_svg(report) == render_caterpillar_svg(report)
 
 
 def test_all_documents_are_well_formed_xml_with_declared_size():
     report = _three_institution_report()
     for svg in (
-        render_funnel_svg(report, STYLE),
-        render_qq_svg(_qq_report([0.1, -0.4, 0.9, 0.3]), STYLE),
-        render_caterpillar_svg(report, STYLE),
+        render_funnel_svg(report),
+        render_qq_svg(_qq_report([0.1, -0.4, 0.9, 0.3])),
+        render_caterpillar_svg(report),
     ):
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
-        assert root.get("width") == str(STYLE.width)
-        assert root.get("height") == str(STYLE.height)
-
-
-def test_style_requires_positive_plot_area():
-    with pytest.raises(ValueError):
-        PlotStyle(width=100, margin_left=60, margin_right=60)
-    with pytest.raises(ValueError):
-        PlotStyle(width=0)
+        assert root.get("width") == str(WIDTH)
+        assert root.get("height") == str(HEIGHT)
