@@ -12,8 +12,8 @@ for authors outside the assessed population, e.g. ``1:r0001:u01;2:-:ext07``.
 Identifiers must not contain ``:`` or ``;``.
 
 The optional config file is flat ``key=value`` text; unknown keys are errors.
-Exit codes: 0 success, 1 parse/validation failure, 2 I/O failure, 3 pipeline
-failure.
+Exit codes: 0 success, 1 parse/validation failure, 2 I/O failure (also two
+output flags naming one file), 3 pipeline failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -360,13 +361,17 @@ def _write_all(outputs: dict[str, str]) -> None:
     """Write each destination's text through a uniquely named temp file
     beside it.
 
-    Nothing is renamed until every temp file is written, so a write that fails
-    (a missing directory, a full disk) leaves every destination as it was.
-    Temp files not yet renamed when anything fails are removed; an OSError
-    becomes an IoError naming the destination it hit. Temp files are created
-    with mode 0o666, as ``open`` creates files, so the umask and default ACLs
-    give each output the mode a plain write would.
+    A destination that is a directory is rejected before any temp file is
+    written. Nothing is renamed until every temp file is written, so a write
+    that fails (a missing directory, a full disk) leaves every destination as
+    it was. Temp files not yet renamed when anything fails are removed; an
+    OSError becomes an IoError naming the destination it hit. Temp files are
+    created with mode 0o666, as ``open`` creates files, so the umask and
+    default ACLs give each output the mode a plain write would.
     """
+    for destination in outputs:
+        if os.path.isdir(destination):
+            raise IoError(destination, os.strerror(errno.EISDIR))
     pending: list[tuple[Path, str]] = []
     try:
         for destination, text in outputs.items():
@@ -393,8 +398,32 @@ def _write_all(outputs: dict[str, str]) -> None:
 # ---------------------------------------------------------------------------
 
 
+_OUTPUT_FLAGS = ("report", "funnel_svg", "qq_svg", "caterpillar_svg")
+
+
+def _duplicate_output(args: argparse.Namespace) -> str | None:
+    """Why two output flags name one file, or None: the later write would
+    silently replace the earlier one."""
+    seen: dict[Path, str] = {}
+    for name in _OUTPUT_FLAGS:
+        destination = getattr(args, name)
+        if not destination:
+            continue
+        flag = "--" + name.replace("_", "-")
+        path = Path(destination).resolve()
+        if path in seen:
+            return f"{seen[path]} and {flag} both name {destination}"
+        seen[path] = flag
+    return None
+
+
 def run_assessment(args: argparse.Namespace) -> int:
     """The ``assess`` command on its parsed arguments; returns the exit code."""
+    duplicate = _duplicate_output(args)
+    if duplicate:
+        print(f"error: {duplicate}", file=sys.stderr)
+        return 2
+
     try:
         researchers = read_researchers_csv(args.researchers)
         publications = read_publications_csv(args.publications)
@@ -548,7 +577,10 @@ def generate_synthetic_dataset(
     config = AssessmentConfig()
     rng = np.random.default_rng(seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(out_dir, exc.strerror or str(exc)) from exc
 
     years = list(range(config.period_start, config.period_end + 1))
     baselines = {year: round(float(rng.uniform(8.0, 25.0)), 2) for year in years}

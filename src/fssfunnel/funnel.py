@@ -94,24 +94,24 @@ def fit_pooled(
     grand_mean_mode = GrandMeanMode(grand_mean_mode)
     if not groups:
         raise ValueError("fit_pooled needs at least one group")
-    arrays = []
-    for gid, values in groups:
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            raise ValueError(f"group {gid!r} is empty")
-        arrays.append(arr)
+    sizes = [len(values) for _, values in groups]
+    if 0 in sizes:
+        raise ValueError(f"group {groups[sizes.index(0)][0]!r} is empty")
 
-    total_n = sum(a.size for a in arrays)
-    group_count = len(arrays)
+    total_n = sum(sizes)
+    group_count = len(groups)
     if total_n <= group_count:
         raise InsufficientDegreesOfFreedom(total_n, group_count)
 
+    blocks = _size_blocks(groups)
     if grand_mean_mode is GrandMeanMode.INDIVIDUALS:
-        grand_mean = sum(float(a.sum()) for a in arrays) / total_n
+        grand_mean = sum(_per_group(blocks, lambda b: b.sum(axis=1))) / total_n
     else:
-        grand_mean = sum(float(a.mean()) for a in arrays) / group_count
+        grand_mean = sum(_per_group(blocks, lambda b: b.mean(axis=1))) / group_count
 
-    ss_within = sum(float(((a - a.mean()) ** 2).sum()) for a in arrays)
+    ss_within = sum(
+        _per_group(blocks, lambda b: ((b - b.mean(axis=1, keepdims=True)) ** 2).sum(axis=1))
+    )
     pooled_sd = sqrt(ss_within / (total_n - group_count))
     return PooledFit(grand_mean, pooled_sd, total_n, group_count)
 
@@ -154,11 +154,11 @@ def classify_institution(
 def adjusted_means(groups: Groups, fit: PooledFit) -> list[float]:
     """sqrt(n_j) * (group mean - grand mean): rescales institution means to a
     common SD so they can be normality-checked together."""
-    out = []
-    for _, values in groups:
-        arr = np.asarray(values, dtype=float)
-        out.append(sqrt(arr.size) * (float(arr.mean()) - fit.grand_mean))
-    return out
+    means = _per_group(_size_blocks(groups), lambda b: b.mean(axis=1))
+    return [
+        sqrt(len(values)) * (mean - fit.grand_mean)
+        for (_, values), mean in zip(groups, means)
+    ]
 
 
 def qq_points(adjusted) -> list[tuple[float, float]]:
@@ -237,9 +237,12 @@ def build_funnel_report(
     pooled_values = [v for _, values in original_groups for v in values]
     spec = _solve_transform(pooled_values, original_groups, config)
 
-    transformed_groups: Groups = [
-        (inst, log_shift_transform(values, spec.delta)) for inst, values in original_groups
-    ]
+    logged = log_shift_transform(pooled_values, spec.delta)
+    transformed_groups: Groups = []
+    start = 0
+    for inst, values in original_groups:
+        transformed_groups.append((inst, logged[start : start + len(values)]))
+        start += len(values)
     fit = fit_pooled(transformed_groups, config.grand_mean_mode)
     if fit.pooled_sd == 0.0:
         raise DegenerateSample(
@@ -295,16 +298,43 @@ def _solve_transform(
             pooled_values, config.delta_bracket, config.skewness_tolerance
         )
 
-    arrays = [np.asarray(values, dtype=float) for _, values in groups]
-    if len(arrays) < 3:
+    if len(groups) < 3:
         raise DegenerateSample(
             "tuning the shift on institution means needs at least 3 institutions"
         )
+    blocks = _size_blocks(groups)
 
     def objective(delta: float) -> float:
-        return sample_skewness([float(np.log(a + delta).mean()) for a in arrays])
+        return sample_skewness(_per_group(blocks, lambda b: np.log(b + delta).mean(axis=1)))
 
     return solve_zero_skew(objective, config.delta_bracket, config.skewness_tolerance)
+
+
+def _size_blocks(groups: Groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The groups' values stacked by size, so that a per-group reduction is
+    one numpy call per distinct size rather than one per group.
+
+    For each distinct size, in order of first appearance: the positions of its
+    groups in ``groups`` and a C-contiguous 2-D block whose rows are their
+    values. A reduction along ``axis=1`` of such a block gives, row by row, the
+    same bits as the same reduction of each group's own 1-D array.
+    """
+    positions_by_size: dict[int, list[int]] = {}
+    for position, (_, values) in enumerate(groups):
+        positions_by_size.setdefault(len(values), []).append(position)
+    return [
+        (np.array(positions), np.array([groups[p][1] for p in positions], dtype=float))
+        for positions in positions_by_size.values()
+    ]
+
+
+def _per_group(blocks, reduce) -> list[float]:
+    """``reduce`` (block -> one value per row) applied to every size block,
+    scattered back into group order."""
+    out = np.empty(sum(len(positions) for positions, _ in blocks))
+    for positions, block in blocks:
+        out[positions] = reduce(block)
+    return out.tolist()
 
 
 def performance_ranks(summaries) -> dict[str, int]:

@@ -71,7 +71,9 @@ def zero_skewness_delta(
     arr = np.asarray(values, dtype=float)
     if arr.size and arr.min() < 0:
         raise ValueError("zero-skewness solve expects non-negative values")
-    if np.unique(arr).size < 3:
+    # Distinct values counted from the sorted gaps: np.unique would import
+    # numpy.ma on its first call, a cost every default run would pay.
+    if np.count_nonzero(np.diff(np.sort(arr))) < 2:
         raise DegenerateSample(
             "zero-skewness solve needs at least 3 distinct values"
         )

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
 import pytest
 
+import fssfunnel
 from fssfunnel.cli import emit_report, main, parse_config_file
 from fssfunnel.model import AssessmentConfig, Rank, WeightingScheme
 from helpers import make_report
@@ -357,6 +361,65 @@ def test_failed_write_leaves_no_output(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "caterpillar.svg", "funnel.svg", "plain.txt", "qq.svg", "report.json",
     ]
+
+
+def test_output_path_that_is_a_directory_leaves_no_output(tmp_path, capsys):
+    # The directory is the last output written, so every other output would
+    # already be renamed into place if the check came at rename time.
+    paths = write_fixture(tmp_path)
+    out = tmp_path / "out"
+    (out / "taken").mkdir(parents=True)
+    args = assess_args(paths, out, ["--quiet"])
+    args[args.index("--caterpillar-svg") + 1] = str(out / "taken")
+    assert main(args) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["taken"]
+    assert list((out / "taken").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("--report", "--funnel-svg"), ("--qq-svg", "--caterpillar-svg")],
+)
+def test_two_output_flags_naming_one_file_is_usage_error(tmp_path, capsys, first, second):
+    paths = write_fixture(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    args = assess_args(paths, out)
+    args[args.index(first) + 1] = str(out / "same")
+    # Spelled differently, the same file.
+    args[args.index(second) + 1] = str(out / "." / "same")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{first} and {second} both name" in err
+    assert list(out.iterdir()) == []
+
+
+def test_synth_into_a_path_under_a_file_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x", encoding="utf-8")
+    code = main(["synth", "--out-dir", str(blocker / "sub"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sub" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_default_run_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a cold process tens of milliseconds; the default
+    # pipeline has no use for it.
+    paths = write_fixture(tmp_path)
+    script = (
+        "import sys\n"
+        "from fssfunnel.cli import main\n"
+        f"code = main({assess_args(paths, tmp_path, ['--quiet'])!r})\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fssfunnel.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["0", "False"]
 
 
 def test_parse_error_names_file_line_and_column(tmp_path, capsys):

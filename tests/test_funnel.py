@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -25,7 +25,14 @@ from fssfunnel.funnel import (
     size_slope,
 )
 from fssfunnel.indicator import ResearcherScore
-from fssfunnel.model import AssessmentConfig, apply_exclusions, validate_dataset
+from fssfunnel.model import (
+    AssessmentConfig,
+    GrandMeanMode,
+    SkewnessTarget,
+    apply_exclusions,
+    validate_dataset,
+)
+from fssfunnel.transform import sample_skewness, solve_zero_skew, zero_skewness_delta
 from helpers import baseline, researcher
 
 
@@ -360,6 +367,74 @@ def test_report_means_level_skewness_target():
     from fssfunnel.transform import sample_skewness
 
     assert abs(sample_skewness(group_means)) <= config.skewness_tolerance
+
+
+def _funnel_one_institution_at_a_time(groups, config):
+    """The report's transform, fit, adjusted means and transformed means,
+    computed with one 1-D numpy array per institution."""
+    arrays = [np.asarray(values, dtype=float) for values in groups]
+    if config.skewness_target is SkewnessTarget.INDIVIDUALS:
+        spec = zero_skewness_delta(
+            [v for values in groups for v in values],
+            config.delta_bracket,
+            config.skewness_tolerance,
+        )
+    else:
+        spec = solve_zero_skew(
+            lambda delta: sample_skewness([float(np.log(a + delta).mean()) for a in arrays]),
+            config.delta_bracket,
+            config.skewness_tolerance,
+        )
+    logged = [np.log(a + spec.delta) for a in arrays]
+    total_n, count = sum(a.size for a in logged), len(logged)
+    if config.grand_mean_mode is GrandMeanMode.INDIVIDUALS:
+        grand_mean = sum(float(a.sum()) for a in logged) / total_n
+    else:
+        grand_mean = sum(float(a.mean()) for a in logged) / count
+    ss_within = sum(float(((a - a.mean()) ** 2).sum()) for a in logged)
+    fit = PooledFit(grand_mean, math.sqrt(ss_within / (total_n - count)), total_n, count)
+    adjusted = tuple(math.sqrt(a.size) * (float(a.mean()) - grand_mean) for a in logged)
+    means = [sum(a.tolist()) / a.size for a in logged]
+    return spec, fit, adjusted, means
+
+
+@pytest.mark.parametrize("grand_mean_mode", list(GrandMeanMode))
+@pytest.mark.parametrize("skewness_target", list(SkewnessTarget))
+@given(
+    # Size 1, sizes under 8 (summed one by one) and 8 or more (summed
+    # pairwise), mixed so that size order differs from institution order.
+    rest=st.lists(
+        st.one_of(st.just(1), st.integers(2, 7), st.integers(8, 140)),
+        min_size=2,
+        max_size=14,
+    ),
+    first=st.integers(3, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rest=[1, 8, 1, 12, 2, 9, 3, 1], first=5, seed=0)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_report_equals_one_institution_at_a_time(
+    skewness_target, grand_mean_mode, rest, first, seed
+):
+    # Bit for bit, not approximately: the report must not depend on how the
+    # funnel layer batches its numpy calls.
+    rng = np.random.default_rng(seed)
+    groups = [list(rng.lognormal(-1.5, 0.9, size=first))]  # within SD > 0
+    for size in rest:
+        values = rng.lognormal(-1.5, 0.9, size=size)
+        groups.append(list(np.where(rng.random(size) < 0.2, 0.0, values)))
+    population, scores, _ = _population_and_scores(
+        {f"u{j:02d}": values for j, values in enumerate(groups)}
+    )
+    config = AssessmentConfig(
+        min_faculty=1, skewness_target=skewness_target, grand_mean_mode=grand_mean_mode
+    )
+    report = build_funnel_report(population, scores, config)
+    spec, fit, adjusted, means = _funnel_one_institution_at_a_time(groups, config)
+    assert report.transform == spec
+    assert report.fit == fit
+    assert report.adjusted_means == adjusted
+    assert [s.mean_transformed for s in report.summaries] == means
 
 
 def test_coverage_calibration_quick():

@@ -126,6 +126,30 @@ def test_zero_skewness_rejects_degenerate_samples():
         zero_skewness_delta([2.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "values, distinct",
+    [
+        ([], 0),
+        ([4.0], 1),
+        ([1.0, 1.0, 1.0, 1.0], 1),
+        ([0.0, -0.0, 0.0], 1),  # signed zeros are one value
+        ([0.0, 0.0, 1.0], 2),
+        ([3.0, 0.5, 3.0, 0.5, 3.0], 2),
+        ([0.0, -0.0, 1.0], 2),
+        ([0.0, -0.0, 1.0, 2.0], 3),
+        ([2.0, 0.0, 1.0], 3),
+        ([5.0, 5.0, 0.25, 7.5, 0.25], 3),
+        ([0.0, 1e-300, 2e-300, 1e300], 4),
+    ],
+)
+def test_zero_skewness_needs_three_distinct_values(values, distinct):
+    if distinct < 3:
+        with pytest.raises(DegenerateSample, match="3 distinct values"):
+            zero_skewness_delta(values)
+    else:
+        assert isinstance(zero_skewness_delta(values).delta, float)
+
+
 def test_zero_skewness_on_productivity_like_sample():
     # 877 draws matched to mean 0.25, SD 0.34, skewness 3.14, zeros included.
     values = draw_fss_sample(np.random.default_rng(42), 877, 0.25, 0.34, 3.14)
