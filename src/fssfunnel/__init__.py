@@ -5,6 +5,7 @@ from .errors import (
     AssessmentError,
     DegenerateRegressor,
     DegenerateSample,
+    DuplicatePublicationId,
     DuplicateResearcherId,
     EmptyAuthorList,
     EmptyPopulation,

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import gc
 import io
 import json
 import math
@@ -29,6 +30,7 @@ import os
 import sys
 from dataclasses import fields
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -67,27 +69,55 @@ _RANK_BY_NAME = {r.value.lower(): r for r in Rank}
 
 
 def _read_rows(path: str, expected_header: list[str]):
+    """(line, row) for each non-blank data row, read as the file is consumed."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+            rows = csv.reader(handle)
+            header = next(rows, None)
+            if header is None:
+                raise ParseError(
+                    path, 1, expected_header[0], "file is empty; header row required"
+                )
+            if header != expected_header:
+                raise ParseError(
+                    path, 1, ",".join(header),
+                    f"expected header {','.join(expected_header)}",
+                )
+            for line, row in enumerate(rows, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise ParseError(
+                        path, line, expected_header[0],
+                        f"expected {len(expected_header)} fields, got {len(row)}",
+                    )
+                yield line, row
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
-    if not rows:
-        raise ParseError(path, 1, expected_header[0], "file is empty; header row required")
-    if rows[0] != expected_header:
-        raise ParseError(
-            path, 1, ",".join(rows[0]),
-            f"expected header {','.join(expected_header)}",
-        )
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(expected_header):
-            raise ParseError(
-                path, line, expected_header[0],
-                f"expected {len(expected_header)} fields, got {len(row)}",
-            )
-        yield line, row
+    except UnicodeDecodeError:
+        line, before, reason = _first_bad_byte(path)
+        # The bad byte starts or continues the last field of the text before it.
+        count = len(next(csv.reader([before + "?"])))
+        column = expected_header[min(count, len(expected_header)) - 1]
+        raise ParseError(path, line, column, reason) from None
+
+
+def _first_bad_byte(path: str) -> tuple[int, str, str]:
+    """Line of the first byte of ``path`` that is not UTF-8, the text before
+    it on that line, and a reason naming the byte."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        data.decode("utf-8")
+    except OSError as exc:
+        raise IoError(path, exc.strerror or str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    else:
+        raise IoError(path, "file changed while it was read")
+    line_start = data.rfind(b"\n", 0, start) + 1
+    before = data[line_start:start].decode("utf-8").lstrip("\ufeff")
+    return data.count(b"\n", 0, start) + 1, before, f"not UTF-8: byte 0x{data[start]:02x}"
 
 
 def _parse_int(path: str, line: int, column: str, text: str, minimum: int) -> int:
@@ -122,32 +152,45 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
     return records
 
 
-def _parse_author_cell(path: str, line: int, cell: str) -> tuple[AuthorSlot, ...]:
-    slots = []
-    for part in cell.split(";"):
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise ParseError(
-                path, line, "authors",
-                f"slot {part!r} is not position:researcher_id:institution_id",
-            )
-        pos_text, rid, inst = (f.strip() for f in fields)
-        position = _parse_int(path, line, "authors", pos_text, 1)
-        if not inst:
-            raise ParseError(path, line, "authors", f"slot {part!r} has no institution")
-        slots.append(AuthorSlot(position, None if rid == "-" else rid, inst))
-    slots.sort(key=lambda s: s.position)
-    return tuple(slots)
+def _parse_slot(path: str, line: int, part: str) -> AuthorSlot:
+    fields = part.split(":")
+    if len(fields) != 3:
+        raise ParseError(
+            path, line, "authors",
+            f"slot {part!r} is not position:researcher_id:institution_id",
+        )
+    pos_text, rid, inst = fields
+    position = _parse_int(path, line, "authors", pos_text.strip(), 1)
+    inst = inst.strip()
+    if not inst:
+        raise ParseError(path, line, "authors", f"slot {part!r} has no institution")
+    rid = rid.strip()
+    return AuthorSlot(position, None if rid == "-" else rid, inst)
+
+
+_POSITION = attrgetter("position")
 
 
 def read_publications_csv(path: str) -> list[PublicationRecord]:
+    """Publications in file order, each byline sorted by position.
+
+    Slot text repeats across bylines (external co-authors, a researcher at
+    the same position), so each distinct text is parsed once per call and
+    its frozen slot shared; only slots that parsed cleanly are kept."""
     records = []
+    parsed: dict[str, AuthorSlot] = {}
     for line, row in _read_rows(path, PUBLICATION_HEADER):
         pid, year_text, category, citations_text, authors_cell = row
         year = _parse_int(path, line, "year", year_text, 0)
         citations = _parse_int(path, line, "citations", citations_text, 0)
-        authors = _parse_author_cell(path, line, authors_cell)
-        records.append(PublicationRecord(pid, year, category, citations, authors))
+        authors = []
+        for part in authors_cell.split(";"):
+            slot = parsed.get(part)
+            if slot is None:
+                slot = parsed[part] = _parse_slot(path, line, part)
+            authors.append(slot)
+        authors.sort(key=_POSITION)
+        records.append(PublicationRecord(pid, year, category, citations, tuple(authors)))
     return records
 
 
@@ -217,6 +260,9 @@ def parse_config_file(path: str) -> AssessmentConfig:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
+    except UnicodeDecodeError:
+        line_no, before, reason = _first_bad_byte(path)
+        raise ParseError(path, line_no, before.partition("=")[0].strip(), reason) from None
 
     schema = _config_file_keys()
     seen: set[str] = set()
@@ -752,7 +798,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "assess":
-        return run_assessment(args)
+        # A run builds many small objects that live until it ends, so the
+        # cyclic collector would walk them again and again for nothing; the
+        # few cycles a run makes are the same whatever the input size.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return run_assessment(args)
+        finally:
+            if enabled:
+                gc.enable()
 
     try:
         paths = generate_synthetic_dataset(

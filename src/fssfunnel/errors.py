@@ -29,6 +29,12 @@ class DuplicateResearcherId(DataViolation):
         super().__init__(f"duplicate researcher id {researcher_id!r}")
 
 
+class DuplicatePublicationId(DataViolation):
+    def __init__(self, publication_id: str):
+        self.publication_id = publication_id
+        super().__init__(f"duplicate publication id {publication_id!r}")
+
+
 class MalformedAuthorList(DataViolation):
     def __init__(self, publication_id: str, reason: str):
         self.publication_id = publication_id

@@ -137,15 +137,22 @@ def researcher_fss(
     """Score one researcher over their authored publications.
 
     ``publications`` must already be restricted to this researcher's authored
-    set; each contributes normalized impact times this researcher's fractional
-    weight, and the sum is divided by salary coefficient and years active.
+    set; each one dated inside the observation period contributes normalized
+    impact times this researcher's fractional weight, and the sum is divided
+    by salary coefficient and years active. Publications outside the period
+    are skipped and not counted.
     """
     if researcher.years_active < 1:
         raise ZeroYearsActive(researcher.researcher_id)
     salary = config.salary_coefficients[researcher.rank]
+    start, end = config.period_start, config.period_end
 
     total = 0.0
+    count = 0
     for pub in publications:
+        if not start <= pub.year <= end:
+            continue
+        count += 1
         weights = fractional_weights(pub.authors, config.weighting_scheme)
         index = _byline_index(pub, researcher.researcher_id)
         total += normalized_impact(pub, baselines) * weights[index]
@@ -155,7 +162,7 @@ def researcher_fss(
         fss=fss,
         salary_coefficient=salary,
         years_active=researcher.years_active,
-        publication_count=len(publications),
+        publication_count=count,
     )
 
 

@@ -14,6 +14,7 @@ from functools import cached_property
 
 from .errors import (
     DataViolation,
+    DuplicatePublicationId,
     DuplicateResearcherId,
     EmptyPopulation,
     MalformedAuthorList,
@@ -249,7 +250,9 @@ def validate_dataset(
     """Check cross-record consistency and collect every violation found.
 
     Also checks every researcher's ``years_active`` against the length of the
-    configured observation period. Raises :class:`ValidationErrors` carrying
+    configured observation period. A publication dated outside that period
+    gets its byline checks but needs no baseline, because it is never
+    scored. Raises :class:`ValidationErrors` carrying
     all problems, period violations first; on success returns a dataset
     holding exactly the input records. Inputs are never mutated.
     """
@@ -259,18 +262,19 @@ def validate_dataset(
         if r.years_active > config.period_length
     ]
 
-    seen: set[str] = set()
-    flagged: set[str] = set()
-    for rec in researchers:
-        if rec.researcher_id in seen and rec.researcher_id not in flagged:
-            errors.append(DuplicateResearcherId(rec.researcher_id))
-            flagged.add(rec.researcher_id)
-        seen.add(rec.researcher_id)
+    errors.extend(
+        DuplicateResearcherId(rid) for rid in _repeated(r.researcher_id for r in researchers)
+    )
+    errors.extend(
+        DuplicatePublicationId(pid) for pid in _repeated(p.publication_id for p in publications)
+    )
 
     known_ids = {rec.researcher_id for rec in researchers}
     missing_baselines: set[tuple[int, str]] = set()
     for pub in publications:
         errors.extend(_author_list_violations(pub, known_ids))
+        if not config.period_start <= pub.year <= config.period_end:
+            continue  # never scored, so it needs no baseline
         key = (pub.year, pub.subject_category)
         if key not in baselines and key not in missing_baselines:
             missing_baselines.add(key)
@@ -279,6 +283,18 @@ def validate_dataset(
     if errors:
         raise ValidationErrors(errors)
     return ValidatedDataset(tuple(researchers), tuple(publications), baselines)
+
+
+def _repeated(ids) -> list[str]:
+    """Each id that occurs more than once, in the order of its second
+    occurrence."""
+    seen: set[str] = set()
+    repeated: dict[str, None] = {}
+    for item in ids:
+        if item in seen:
+            repeated[item] = None
+        seen.add(item)
+    return list(repeated)
 
 
 def _author_list_violations(

@@ -8,7 +8,6 @@ stylesheets, or scripts; all styling is inline, from the constants below.
 from __future__ import annotations
 
 from math import ceil, exp, floor, log10, sqrt
-from xml.sax.saxutils import escape
 
 from .errors import EmptyReport
 from .funnel import Classification, FunnelReport, confidence_bands
@@ -93,13 +92,20 @@ def _header() -> list[str]:
     ]
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
+    does without extra entities; importing that module would pull in
+    ``urllib.request``, ``http.client``, ``ssl`` and ``email`` at start-up."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _text(x: float, y: float, content: str, anchor: str = "middle",
           cls: str = "tick-label", rotate: float | None = None) -> str:
     transform = f' transform="rotate({_px(rotate)} {_px(x)} {_px(y)})"' if rotate is not None else ""
     return (
         f'<text class="{cls}" x="{_px(x)}" y="{_px(y)}" text-anchor="{anchor}" '
-        f'font-family="{escape(FONT_FAMILY)}" font-size="{FONT_SIZE}" '
-        f'fill="#303030"{transform}>{escape(content)}</text>'
+        f'font-family="{_escape(FONT_FAMILY)}" font-size="{FONT_SIZE}" '
+        f'fill="#303030"{transform}>{_escape(content)}</text>'
     )
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -9,8 +10,9 @@ from dataclasses import fields
 import pytest
 
 import fssfunnel
-from fssfunnel.cli import emit_report, main, parse_config_file
-from fssfunnel.model import AssessmentConfig, Rank, WeightingScheme
+from fssfunnel.cli import emit_report, main, parse_config_file, read_publications_csv
+from fssfunnel.errors import ParseError
+from fssfunnel.model import AssessmentConfig, AuthorSlot, Rank, WeightingScheme
 from helpers import make_report
 
 SALARY = {"Assistant": 1.0, "Associate": 1.4, "Full": 2.0}
@@ -199,12 +201,12 @@ def test_missing_baselines_file_is_io_error(tmp_path, capsys):
 def test_validation_failure_reports_all_errors_and_writes_nothing(tmp_path, capsys):
     paths = write_fixture(tmp_path)
     pubs = (tmp_path / "publications.csv").read_text().rstrip("\n")
-    pubs += "\nq90,2099,Biochemistry,5,1:a1:A"   # missing baseline
+    pubs += "\nq90,2010,Biochemistry,5,1:a1:A"   # missing baseline
     pubs += "\nq91,2008,Biochemistry,5,1:zz:A\n"  # unknown researcher
     (tmp_path / "publications.csv").write_text(pubs, encoding="utf-8")
     assert main(assess_args(paths, tmp_path)) == 1
     err = capsys.readouterr().err
-    assert "2099" in err and "zz" in err
+    assert "2010" in err and "zz" in err
     assert not (tmp_path / "report.json").exists()
     assert not (tmp_path / "funnel.svg").exists()
 
@@ -405,21 +407,129 @@ def test_synth_into_a_path_under_a_file_is_io_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+def run_python(script: str) -> list[str]:
+    """Words printed by ``script`` run in a fresh interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fssfunnel.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout.split()
+
+
+# Each costs a cold process milliseconds that the default pipeline has no use
+# for: numpy.ma comes with np.unique, the rest with xml.sax.saxutils.
+UNUSED_MODULES = ("numpy.ma", "xml.sax", "urllib.request", "http.client", "ssl", "email")
+
+
 def test_default_run_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma costs a cold process tens of milliseconds; the default
-    # pipeline has no use for it.
     paths = write_fixture(tmp_path)
     script = (
         "import sys\n"
         "from fssfunnel.cli import main\n"
         f"code = main({assess_args(paths, tmp_path, ['--quiet'])!r})\n"
-        "print(code, 'numpy.ma' in sys.modules)\n"
+        f"print(code, *[name for name in {UNUSED_MODULES!r} if name in sys.modules])\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fssfunnel.__file__)))
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.split() == ["0", "False"]
+    assert run_python(script) == ["0"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case, code", [("ok", 0), ("duplicate", 1), ("degenerate", 3)])
+def test_main_restores_the_collector_state(tmp_path, enabled, case, code):
+    paths = write_fixture(tmp_path)
+    publications = tmp_path / "publications.csv"
+    if case == "duplicate":
+        publications.write_text(publications.read_text() + "q01,2008,Biochemistry,1,1:a1:A\n")
+    elif case == "degenerate":
+        publications.write_text(publications.read_text().splitlines()[0] + "\n")
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(assess_args(paths, tmp_path, ["--quiet"])) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_paused_collector_leaves_cycles_independent_of_input_size(tmp_path):
+    # A run keeps the collector off throughout, so what it cannot free must
+    # not grow with the input: one fixture and one four times its size leave
+    # the same number of unreachable objects.
+    counts = []
+    for name, institutions, total in (("one", 42, 877), ("four", 168, 3508)):
+        out = tmp_path / name
+        assert main([
+            "synth", "--out-dir", str(out), "--institutions", str(institutions),
+            "--total", str(total), "--quiet",
+        ]) == 0
+        args = [
+            "assess", "--researchers", str(out / "researchers.csv"),
+            "--publications", str(out / "publications.csv"),
+            "--baselines", str(out / "baselines.csv"),
+            "--config", str(out / "config.txt"),
+            "--report", str(out / "report.json"), "--quiet",
+        ]
+        script = (
+            "import gc\n"
+            "from fssfunnel.cli import main\n"
+            "gc.collect()\n"
+            "phases = []\n"
+            "gc.callbacks.append(lambda phase, info: phases.append(phase))\n"
+            f"code = main({args!r})\n"
+            "print(code, gc.isenabled(), len(phases), gc.collect())\n"
+        )
+        code, enabled, collections, unreachable = run_python(script)
+        assert (code, enabled, collections) == ("0", "True", "0")
+        counts.append(int(unreachable))
+    assert counts[0] == counts[1]
+
+
+def test_repeated_publication_id_is_rejected(tmp_path, capsys):
+    paths = write_fixture(tmp_path)
+    publications = tmp_path / "publications.csv"
+    rows = publications.read_text().splitlines()
+    publications.write_text("\n".join(rows + [rows[3]]) + "\n", encoding="utf-8")
+    assert main(assess_args(paths, tmp_path)) == 1
+    assert capsys.readouterr().err == "error: duplicate publication id 'q03'\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("with_baseline", [False, True])
+def test_publication_outside_the_period_changes_no_byte(tmp_path, with_baseline):
+    paths = write_fixture(tmp_path)
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir(), after.mkdir()
+    assert main(assess_args(paths, before, ["--quiet"])) == 0
+    with open(paths["publications"], "a", encoding="utf-8") as handle:
+        handle.write("q99,1990,Biochemistry,500,1:a1:A\n")
+    if with_baseline:
+        with open(paths["baselines"], "a", encoding="utf-8") as handle:
+            handle.write("1990,Biochemistry,3.0\n")
+    assert main(assess_args(paths, after, ["--quiet"])) == 0
+    for name in ("report.json", "funnel.svg", "qq.svg", "caterpillar.svg"):
+        assert (after / name).read_bytes() == (before / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("researchers.csv", b"a2,A,", b"a2,\xffA,",
+         "researchers.csv:3: column 'institution_id': not UTF-8: byte 0xff"),
+        ("publications.csv", b"q16,2009,", b"q16,20\xe909,",
+         "publications.csv:17: column 'year': not UTF-8: byte 0xe9"),
+        ("config.txt", b"min_faculty=4", b"min_faculty=\xff4",
+         "config.txt:2: column 'min_faculty': not UTF-8: byte 0xff"),
+    ],
+    ids=["researchers", "publications", "config"],
+)
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, name, old, new, message):
+    paths = write_fixture(tmp_path)
+    config = tmp_path / "config.txt"
+    config.write_text("# faculty\nmin_faculty=4\n", encoding="utf-8")
+    target = tmp_path / name
+    target.write_bytes(target.read_bytes().replace(old, new))
+    assert main(assess_args(paths, tmp_path, ["--config", str(config)])) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_parse_error_names_file_line_and_column(tmp_path, capsys):
@@ -429,6 +539,51 @@ def test_parse_error_names_file_line_and_column(tmp_path, capsys):
     assert main(assess_args(paths, tmp_path)) == 1
     err = capsys.readouterr().err
     assert "publications.csv:2" in err and "year" in err
+
+
+# Each bad cell sits on line 3, after line 2 parsed slots of similar text.
+VALID_BYLINE = "1:a1:A;2:a2:A;3:-:X"
+
+
+@pytest.mark.parametrize(
+    "cell, reason",
+    [
+        ("1:a1:A;2:a2", "slot '2:a2' is not position:researcher_id:institution_id"),
+        ("1:a1:A;2:a2:A:X", "slot '2:a2:A:X' is not position:researcher_id:institution_id"),
+        ("1:a1:A;x:a2:A", "not an integer: 'x'"),
+        ("1:a1:A; 2.0:a2:A", "not an integer: '2.0'"),
+        ("0:a1:A;2:a2:A", "must be >= 1, got 0"),
+        ("1:a1:A;2:a2:", "slot '2:a2:' has no institution"),
+        ("1:a1:A;2:a2: ", "slot '2:a2: ' has no institution"),
+    ],
+)
+def test_byline_parse_errors_name_line_and_slot(tmp_path, cell, reason):
+    path = tmp_path / "publications.csv"
+    path.write_text(
+        "publication_id,year,subject_category,citations,authors\n"
+        f"q01,2008,Biochemistry,10,{VALID_BYLINE}\n"
+        f'q02,2009,Biochemistry,8,"{cell}"\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as caught:
+        read_publications_csv(str(path))
+    assert caught.value.line == 3
+    assert str(caught.value) == f"{path}:3: column 'authors': {reason}"
+
+
+def test_byline_out_of_order_is_sorted_by_position(tmp_path):
+    path = tmp_path / "publications.csv"
+    path.write_text(
+        "publication_id,year,subject_category,citations,authors\n"
+        "q01,2008,Biochemistry,10,1:a1:A;2:a2:B\n"
+        "q02,2009,Biochemistry,8,2:a2:B;1:a1:A\n"
+        "q03,2009,Biochemistry,8, 2:-:X ;1:a1:A\n",
+        encoding="utf-8",
+    )
+    first, second, third = read_publications_csv(str(path))
+    expected = (AuthorSlot(1, "a1", "A"), AuthorSlot(2, "a2", "B"))
+    assert first.authors == second.authors == expected
+    assert third.authors == (AuthorSlot(1, "a1", "A"), AuthorSlot(2, None, "X"))
 
 
 def test_synth_roundtrip_small(tmp_path):

@@ -132,6 +132,22 @@ def test_fss_full_professor_two_unit_contributions():
     assert math.isclose(score.fss, 0.2, rel_tol=1e-12)
 
 
+def test_fss_skips_publications_outside_the_period():
+    # The default period is 2008-2012; the baseline has no 1990 or 2013 entry,
+    # so a lookup for either would raise MissingBaseline.
+    rec = researcher("r1", years=4)
+    inside = publication("p1", 10, byline("u01", researcher_ids=["r1"]))
+    outside = [
+        publication(f"p{year}", 500, byline("u01", researcher_ids=["r1"]), year=year)
+        for year in (1990, 2007, 2013)
+    ]
+    score = researcher_fss(rec, [outside[0], inside, *outside[1:]], baseline(), CONFIG)
+    assert score == researcher_fss(rec, [inside], baseline(), CONFIG)
+    assert score.publication_count == 1
+    edges = [publication("p1", 10, byline("u01", researcher_ids=["r1"]), year=2012)]
+    assert researcher_fss(rec, edges, baseline({(2012, "Biochemistry"): 5.0}), CONFIG) == score
+
+
 def test_fss_no_publications_is_zero():
     score = researcher_fss(researcher("r1"), [], baseline(), CONFIG)
     assert score.fss == 0.0

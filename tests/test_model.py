@@ -1,6 +1,7 @@
 import pytest
 
 from fssfunnel.errors import (
+    DuplicatePublicationId,
     DuplicateResearcherId,
     EmptyPopulation,
     MalformedAuthorList,
@@ -39,12 +40,12 @@ def test_validate_minimal_dataset():
 
 
 def test_validate_missing_baseline():
-    pubs = [publication("p1", 3, byline("u01"), year=2099)]
+    pubs = [publication("p1", 3, byline("u01"), year=2010)]
     with pytest.raises(ValidationErrors) as exc:
         validate_dataset([], pubs, baseline(), CONFIG)
     (violation,) = exc.value.errors
     assert isinstance(violation, MissingBaseline)
-    assert violation.year == 2099
+    assert violation.year == 2010
 
 
 def test_validate_duplicate_researcher_id():
@@ -54,6 +55,30 @@ def test_validate_duplicate_researcher_id():
     (violation,) = exc.value.errors
     assert isinstance(violation, DuplicateResearcherId)
     assert violation.researcher_id == "r1"
+
+
+def test_validate_duplicate_publication_id():
+    recs = [researcher("r1")]
+    first = publication("p1", 3, byline("u01", researcher_ids=["r1"]))
+    pubs = [first, publication("p2", 1, byline("u01")), first, first]
+    with pytest.raises(ValidationErrors) as exc:
+        validate_dataset(recs, pubs, baseline(), CONFIG)
+    (violation,) = exc.value.errors
+    assert isinstance(violation, DuplicatePublicationId)
+    assert violation.publication_id == "p1"
+    assert str(violation) == "duplicate publication id 'p1'"
+
+
+def test_validate_publication_outside_the_period_needs_no_baseline():
+    recs = [researcher("r1")]
+    old = publication("p0", 500, byline("u01", researcher_ids=["r1"]), year=1990)
+    dataset = validate_dataset(recs, [old], baseline(), CONFIG)
+    assert dataset.publications == (old,)
+    # Its byline is still checked.
+    bad = publication("p0", 5, byline("u01", researcher_ids=["ghost"]), year=2013)
+    with pytest.raises(ValidationErrors) as exc:
+        validate_dataset(recs, [bad], baseline(), CONFIG)
+    assert [type(v) for v in exc.value.errors] == [UnknownResearcherRef]
 
 
 def test_validate_unknown_researcher_ref():
@@ -88,7 +113,7 @@ def test_validate_collects_all_violations():
     recs = [researcher("r1"), researcher("r1")]
     pubs = [
         publication("p1", 1, byline("u01", researcher_ids=["ghost"])),
-        publication("p2", 1, byline("u01"), year=2099),
+        publication("p2", 1, byline("u01"), year=2010),
     ]
     with pytest.raises(ValidationErrors) as exc:
         validate_dataset(recs, pubs, baseline(), CONFIG)
@@ -113,7 +138,7 @@ def test_long_byline_violations_keep_their_order():
 def test_validate_years_active_beyond_period():
     # The default period 2008-2012 is 5 years long.
     recs = [researcher("r1", years=5), researcher("r2", years=6)]
-    pubs = [publication("p1", 1, byline("u01"), year=2099)]
+    pubs = [publication("p1", 1, byline("u01"), year=2010)]
     with pytest.raises(ValidationErrors) as exc:
         validate_dataset(recs, pubs, baseline(), CONFIG)
     period, missing = exc.value.errors
