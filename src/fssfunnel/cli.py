@@ -30,6 +30,7 @@ import os
 import sys
 from dataclasses import fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -69,7 +70,10 @@ _RANK_BY_NAME = {r.value.lower(): r for r in Rank}
 
 
 def _read_rows(path: str, expected_header: list[str]):
-    """(line, row) for each non-blank data row, read as the file is consumed."""
+    """(line, row) for each non-blank data row, read as the file is consumed.
+
+    ``line`` is the file line the row starts on, so a quoted field that spans
+    lines does not shift the line named for the rows after it."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = csv.reader(handle)
@@ -83,7 +87,9 @@ def _read_rows(path: str, expected_header: list[str]):
                     path, 1, ",".join(header),
                     f"expected header {','.join(expected_header)}",
                 )
-            for line, row in enumerate(rows, start=2):
+            start = rows.line_num + 1
+            for row in rows:
+                line, start = start, rows.line_num + 1
                 if not row:
                     continue
                 if len(row) != len(expected_header):
@@ -339,68 +345,113 @@ def _json_value(value):
     return value
 
 
-def report_payload(report: FunnelReport) -> dict:
-    """JSON-ready dict with fixed key order and full-precision floats."""
-    institutions = []
-    for summary in report.summaries:
-        institutions.append(
-            {
-                "id": summary.institution_id,
-                "size": summary.size,
-                "mean_original": summary.mean_original,
-                "mean_transformed": summary.mean_transformed,
-                "classification": summary.classification.value,
-                "inner_band": {
-                    "z": summary.inner_band.level_z,
-                    "lower": summary.inner_band.lower,
-                    "upper": summary.inner_band.upper,
-                },
-                "outer_band": {
-                    "z": summary.outer_band.level_z,
-                    "lower": summary.outer_band.lower,
-                    "upper": summary.outer_band.upper,
-                },
-                "rank_with_caveat": {
-                    "rank": report.rankings[summary.institution_id],
-                    "caveat": RANK_CAVEAT,
-                },
-            }
-        )
-    return {
-        "config": {
-            f.name: _json_value(getattr(report.config, f.name))
-            for f in fields(report.config)
-        },
-        "transform": {
-            "delta": report.transform.delta,
-            "achieved_skewness": report.transform.achieved_skewness,
-            "converged": report.transform.converged,
-        },
-        "fit": {
-            "grand_mean": report.fit.grand_mean,
-            "pooled_sd": report.fit.pooled_sd,
-            "total_n": report.fit.total_n,
-            "group_count": report.fit.group_count,
-        },
-        "institutions": institutions,
-        "diagnostics": {
-            "qq_points": [list(pair) for pair in (report.qq_points or ())],
-            "qq_max_abs_deviation": None
-            if not report.qq_points
-            else qq_max_deviation(report.qq_points),
-            "size_slope": None
-            if report.size_slope is None
-            else {
-                "slope": report.size_slope[0],
-                "standard_error": report.size_slope[1],
-            },
-        },
-    }
+# The parts of the report that grow with the institution count are filled
+# into fixed templates: json's indenting encoder is pure Python and walks every
+# value, while these give the same bytes at one ``%`` per entry.
+_INSTITUTION = """\
+    {
+      "id": %s,
+      "size": %d,
+      "mean_original": %s,
+      "mean_transformed": %s,
+      "classification": %s,
+      "inner_band": %s,
+      "outer_band": %s,
+      "rank_with_caveat": {
+        "rank": %d,
+        "caveat": CAVEAT
+      }
+    }""".replace("CAVEAT", encode_basestring_ascii(RANK_CAVEAT).replace("%", "%%"))
+_BAND = """{
+        "z": %s,
+        "lower": %s,
+        "upper": %s
+      }"""
+_QQ_POINT = """\
+      [
+        %s,
+        %s
+      ]"""
+_SIZE_SLOPE = """{
+      "slope": %s,
+      "standard_error": %s
+    }"""
+
+
+def _number(value) -> str:
+    """A number as ``json.dumps(..., allow_nan=False)`` writes it: a float by
+    ``float.__repr__``, an int (a band level a caller gave as 2) by ``int``'s."""
+    if not isinstance(value, float):
+        return int.__repr__(value)
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _band(band) -> str:
+    return _BAND % (_number(band.level_z), _number(band.lower), _number(band.upper))
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of already-indented item texts, closed at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def emit_report(report: FunnelReport) -> str:
-    """The report as JSON text."""
-    return json.dumps(report_payload(report), indent=2, allow_nan=False) + "\n"
+    """The report as JSON text, with fixed key order and full-precision floats.
+
+    The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``,
+    which writes the small config, transform and fit blocks; a non-finite
+    float raises the same ValueError."""
+    head = json.dumps(
+        {
+            "config": {
+                f.name: _json_value(getattr(report.config, f.name))
+                for f in fields(report.config)
+            },
+            "transform": {
+                "delta": report.transform.delta,
+                "achieved_skewness": report.transform.achieved_skewness,
+                "converged": report.transform.converged,
+            },
+            "fit": {
+                "grand_mean": report.fit.grand_mean,
+                "pooled_sd": report.fit.pooled_sd,
+                "total_n": report.fit.total_n,
+                "group_count": report.fit.group_count,
+            },
+        },
+        indent=2,
+        allow_nan=False,
+    )
+    rankings = report.rankings
+    institutions = [
+        _INSTITUTION % (
+            encode_basestring_ascii(s.institution_id),
+            s.size,
+            _number(s.mean_original),
+            _number(s.mean_transformed),
+            encode_basestring_ascii(s.classification.value),
+            _band(s.inner_band),
+            _band(s.outer_band),
+            rankings[s.institution_id],
+        )
+        for s in report.summaries
+    ]
+    qq = [_QQ_POINT % (_number(x), _number(y)) for x, y in report.qq_points or ()]
+    slope = report.size_slope
+    return "".join([
+        head[:-2],  # without the closing "\n}"
+        ',\n  "institutions": ',
+        _array(institutions, "  "),
+        ',\n  "diagnostics": {\n    "qq_points": ',
+        _array(qq, "    "),
+        ',\n    "qq_max_abs_deviation": ',
+        _number(qq_max_deviation(report.qq_points)) if report.qq_points else "null",
+        ',\n    "size_slope": ',
+        "null" if slope is None else _SIZE_SLOPE % (_number(slope[0]), _number(slope[1])),
+        "\n  }\n}\n",
+    ])
 
 
 def _write_all(outputs: dict[str, str]) -> None:

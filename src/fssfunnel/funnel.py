@@ -131,22 +131,24 @@ def classify_institution(
     inner_z: float,
     outer_z: float,
 ) -> Classification:
-    """Label a mean against the inner and outer bands at its own size.
-
-    Exceedance is strict; a mean exactly on a band counts as Within, which
-    keeps boundary cases from flipping on rounding noise.
-    """
+    """Label a mean against the inner and outer bands at its own size."""
     if inner_z >= outer_z:
         raise ValueError("inner_z must be smaller than outer_z")
-    inner = confidence_bands(fit, n, inner_z)
-    outer = confidence_bands(fit, n, outer_z)
-    if mean_transformed > outer.upper:
+    return _label(
+        mean_transformed, confidence_bands(fit, n, inner_z), confidence_bands(fit, n, outer_z)
+    )
+
+
+def _label(mean: float, inner: BandPoint, outer: BandPoint) -> Classification:
+    """Exceedance is strict; a mean exactly on a band counts as Within, which
+    keeps boundary cases from flipping on rounding noise."""
+    if mean > outer.upper:
         return Classification.ABOVE_OUTER
-    if mean_transformed > inner.upper:
+    if mean > inner.upper:
         return Classification.ABOVE_INNER
-    if mean_transformed < outer.lower:
+    if mean < outer.lower:
         return Classification.BELOW_OUTER
-    if mean_transformed < inner.lower:
+    if mean < inner.lower:
         return Classification.BELOW_INNER
     return Classification.WITHIN
 
@@ -250,9 +252,18 @@ def build_funnel_report(
             "would have zero width"
         )
 
+    # The bands depend on the size alone, so institutions of one size share them.
+    bands_by_size: dict[int, tuple[BandPoint, BandPoint]] = {}
     summaries = []
     for (inst, values), (_, original) in zip(transformed_groups, original_groups):
         n = len(values)
+        bands = bands_by_size.get(n)
+        if bands is None:
+            bands = bands_by_size[n] = (
+                confidence_bands(fit, n, config.inner_z),
+                confidence_bands(fit, n, config.outer_z),
+            )
+        inner, outer = bands
         mean_t = sum(values) / n
         summaries.append(
             InstitutionSummary(
@@ -260,11 +271,9 @@ def build_funnel_report(
                 size=n,
                 mean_transformed=mean_t,
                 mean_original=sum(original) / n,
-                classification=classify_institution(
-                    mean_t, fit, n, config.inner_z, config.outer_z
-                ),
-                inner_band=confidence_bands(fit, n, config.inner_z),
-                outer_band=confidence_bands(fit, n, config.outer_z),
+                classification=_label(mean_t, inner, outer),
+                inner_band=inner,
+                outer_band=outer,
             )
         )
 

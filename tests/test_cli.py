@@ -5,14 +5,33 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
+from enum import Enum
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fssfunnel
-from fssfunnel.cli import emit_report, main, parse_config_file, read_publications_csv
+from fssfunnel.cli import (
+    RANK_CAVEAT,
+    emit_report,
+    main,
+    parse_config_file,
+    read_publications_csv,
+    read_researchers_csv,
+)
 from fssfunnel.errors import ParseError
+from fssfunnel.funnel import (
+    BandPoint,
+    Classification,
+    FunnelReport,
+    InstitutionSummary,
+    PooledFit,
+    qq_max_deviation,
+)
 from fssfunnel.model import AssessmentConfig, AuthorSlot, Rank, WeightingScheme
+from fssfunnel.transform import TransformSpec
 from helpers import make_report
 
 SALARY = {"Assistant": 1.0, "Associate": 1.4, "Full": 2.0}
@@ -541,6 +560,48 @@ def test_parse_error_names_file_line_and_column(tmp_path, capsys):
     assert "publications.csv:2" in err and "year" in err
 
 
+# Line 2 opens a quoted field that line 3 closes, so the next row is on line 4.
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("r2,A,Biochemistry,Boss,3",
+         "researchers.csv:4: column 'rank': "
+         "expected one of Assistant/Associate/Full, got 'Boss'"),
+        ("r1,A,Biochemistry,Full,3",
+         "researchers.csv:4: column 'researcher_id': "
+         "duplicate researcher id 'r1' (first seen on line 2)"),
+    ],
+    ids=["bad-rank", "duplicate-id"],
+)
+def test_researcher_errors_name_the_file_line_after_a_multiline_field(
+    tmp_path, row, message
+):
+    path = tmp_path / "researchers.csv"
+    path.write_text(
+        "researcher_id,institution_id,field_code,rank,years_active\n"
+        'r1,"Univ\nof X",Biochemistry,Full,3\n'
+        f"{row}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as caught:
+        read_researchers_csv(str(path))
+    assert str(caught.value) == f"{tmp_path / message}"
+
+
+def test_publication_errors_name_the_file_line_after_a_multiline_field(tmp_path):
+    path = tmp_path / "publications.csv"
+    path.write_text(
+        "publication_id,year,subject_category,citations,authors\n"
+        'q01,2008,"Bio\nchemistry",10,1:a1:A\n'
+        "\n"
+        "q02,round8,Biochemistry,8,1:a1:A\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as caught:
+        read_publications_csv(str(path))
+    assert str(caught.value) == f"{path}:5: column 'year': not an integer: 'round8'"
+
+
 # Each bad cell sits on line 3, after line 2 parsed slots of similar text.
 VALID_BYLINE = "1:a1:A;2:a2:A;3:-:X"
 
@@ -624,3 +685,168 @@ def test_emit_report_round_trips_and_is_stable():
     assert payload["fit"]["grand_mean"] == report.fit.grand_mean
     assert payload["transform"]["delta"] == report.transform.delta
     assert payload["institutions"][0]["mean_transformed"] == report.summaries[0].mean_transformed
+
+
+# The report's JSON as json.dumps writes it from a plain payload: the oracle
+# for emit_report, which fills templates instead.
+def payload(report):
+    def json_value(value):
+        if isinstance(value, Enum):
+            return value.value
+        if isinstance(value, tuple):
+            return list(value)
+        if isinstance(value, dict):
+            return {key.value: item for key, item in value.items()}
+        return value
+
+    def band(point):
+        return {"z": point.level_z, "lower": point.lower, "upper": point.upper}
+
+    return {
+        "config": {
+            f.name: json_value(getattr(report.config, f.name)) for f in fields(report.config)
+        },
+        "transform": {
+            "delta": report.transform.delta,
+            "achieved_skewness": report.transform.achieved_skewness,
+            "converged": report.transform.converged,
+        },
+        "fit": {
+            "grand_mean": report.fit.grand_mean,
+            "pooled_sd": report.fit.pooled_sd,
+            "total_n": report.fit.total_n,
+            "group_count": report.fit.group_count,
+        },
+        "institutions": [
+            {
+                "id": s.institution_id,
+                "size": s.size,
+                "mean_original": s.mean_original,
+                "mean_transformed": s.mean_transformed,
+                "classification": s.classification.value,
+                "inner_band": band(s.inner_band),
+                "outer_band": band(s.outer_band),
+                "rank_with_caveat": {
+                    "rank": report.rankings[s.institution_id],
+                    "caveat": RANK_CAVEAT,
+                },
+            }
+            for s in report.summaries
+        ],
+        "diagnostics": {
+            "qq_points": [list(pair) for pair in (report.qq_points or ())],
+            "qq_max_abs_deviation": None
+            if not report.qq_points
+            else qq_max_deviation(report.qq_points),
+            "size_slope": None
+            if report.size_slope is None
+            else {"slope": report.size_slope[0], "standard_error": report.size_slope[1]},
+        },
+    }
+
+
+def dumped(report) -> str:
+    return json.dumps(payload(report), indent=2, allow_nan=False) + "\n"
+
+
+def one_institution_report(institution_id, value):
+    band = BandPoint(3, 2.0, value, value)
+    summary = InstitutionSummary(
+        institution_id, 3, value, value, Classification.WITHIN, band, band
+    )
+    return FunnelReport(
+        fit=PooledFit(value, 1.0, 3, 1),
+        transform=TransformSpec(1.0, value, (1e-9, 10.0), True),
+        summaries=(summary,),
+        adjusted_means=(value,),
+        qq_points=((value, value),),
+        size_slope=(value, value),
+        rankings={institution_id: 1},
+        config=AssessmentConfig(),
+    )
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225e-308, 1e308, -1e308, 1e16, -3.0]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+ids = st.text(
+    st.characters()
+    | st.characters(categories=["Cc", "Cs"])
+    | st.sampled_from(['"', "\\", "/", "%", "é", " ", "\U0001f600"]),
+    max_size=8,
+)
+# A library caller may give the z levels as ints; json writes those as ints.
+band_points = st.builds(
+    BandPoint, st.integers(1, 10**6), finite_floats | st.integers(1, 5),
+    finite_floats, finite_floats,
+)
+summaries = st.builds(
+    InstitutionSummary, ids, st.integers(1, 10**6), finite_floats, finite_floats,
+    st.sampled_from(Classification), band_points, band_points,
+)
+
+
+@st.composite
+def reports(draw):
+    rows = draw(
+        st.lists(summaries, min_size=1, max_size=6, unique_by=lambda s: s.institution_id)
+    )
+    ranks = draw(st.lists(st.integers(1, 10**6), min_size=len(rows), max_size=len(rows)))
+    pairs = st.tuples(finite_floats, finite_floats)
+    return FunnelReport(
+        fit=draw(st.builds(
+            PooledFit, finite_floats, finite_floats, st.integers(1), st.integers(1)
+        )),
+        transform=draw(st.builds(
+            TransformSpec, finite_floats, finite_floats,
+            pairs, st.booleans(),
+        )),
+        summaries=tuple(rows),
+        adjusted_means=(),
+        qq_points=draw(st.none() | st.lists(pairs, max_size=4).map(tuple)),
+        size_slope=draw(st.none() | pairs),
+        rankings={s.institution_id: rank for s, rank in zip(rows, ranks)},
+        config=AssessmentConfig(),
+    )
+
+
+@given(reports())
+@example(one_institution_report("Università \"Sapienza\" \\ 東京\ud800", 0.25))
+@example(one_institution_report("u01", -0.0))
+@settings(max_examples=100, deadline=None)
+def test_emit_report_writes_the_bytes_of_json_dumps(report):
+    try:
+        expected = dumped(report)
+    except ValueError as exc:
+        # Two finite QQ coordinates 1e308 apart overflow the deviation.
+        with pytest.raises(ValueError) as caught:
+            emit_report(report)
+        assert str(caught.value) == str(exc)
+    else:
+        assert emit_report(report) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "where", ["mean_original", "mean_transformed", "band", "qq_points", "size_slope"]
+)
+def test_emit_report_rejects_a_non_finite_float_as_json_dumps_does(bad, where):
+    report = one_institution_report("u01", 0.5)
+    summary = report.summaries[0]
+    if where in ("mean_original", "mean_transformed"):
+        report = replace(report, summaries=(replace(summary, **{where: bad}),))
+    elif where == "band":
+        outer = replace(summary.outer_band, lower=bad)
+        report = replace(report, summaries=(replace(summary, outer_band=outer),))
+    elif where == "qq_points":
+        report = replace(report, qq_points=((0.5, 0.5), (bad, 0.5)))
+    else:
+        report = replace(report, size_slope=(0.5, bad))
+    with pytest.raises(ValueError) as expected:
+        dumped(report)
+    with pytest.raises(ValueError) as caught:
+        emit_report(report)
+    message = f"Out of range float values are not JSON compliant: {bad!r}"
+    assert str(caught.value) == str(expected.value) == message

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from fssfunnel import funnel
 from fssfunnel.errors import (
     DegenerateRegressor,
     DegenerateSample,
@@ -322,14 +323,26 @@ def test_report_orders_institutions_and_is_deterministic():
     assert again == report
 
 
-def test_report_exposes_both_scales_and_consistent_summaries():
+def test_report_exposes_both_scales_and_consistent_summaries(monkeypatch):
     rng = np.random.default_rng(13)
     data = {
         f"u{j:02d}": list(rng.lognormal(-1.5, 0.8, size=rng.integers(5, 40)))
         for j in range(12)
     }
     population, scores, config = _population_and_scores(data)
+    built = []
+    bands = funnel.confidence_bands
+
+    def counted(fit, n, level_z):
+        built.append((n, level_z))
+        return bands(fit, n, level_z)
+
+    monkeypatch.setattr(funnel, "confidence_bands", counted)
     report = build_funnel_report(population, scores, config)
+    # Institutions of one size share its inner and outer band.
+    sizes = {summary.size for summary in report.summaries}
+    assert len(sizes) < len(report.summaries)
+    assert sorted(built) == sorted((n, z) for n in sizes for z in (2.0, 3.0))
     assert report.transform.delta > 0
     for summary in report.summaries:
         values = data[summary.institution_id]
