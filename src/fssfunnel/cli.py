@@ -39,8 +39,9 @@ import numpy as np
 
 from .errors import AssessmentError, IoError, ParseError, ValidationErrors
 from .funnel import FunnelReport, build_funnel_report, qq_max_deviation
-from .indicator import fractional_weights, researcher_fss
+from .indicator import ResearcherScore, fractional_weights, researcher_fss
 from .model import (
+    AssessablePopulation,
     AssessmentConfig,
     AuthorSlot,
     CitationBaseline,
@@ -137,8 +138,11 @@ def _parse_int(path: str, line: int, column: str, text: str, minimum: int) -> in
 
 
 def read_researchers_csv(path: str) -> list[ResearcherRecord]:
+    """Researchers in file order. Institution ids and field codes repeat
+    down the file, so each distinct text is held once per call."""
     records = []
     seen: dict[str, int] = {}
+    shared: dict[str, str] = {}
     for line, row in _read_rows(path, RESEARCHER_HEADER):
         rid, inst, field_code, rank_text, years_text = row
         if rid in seen:
@@ -154,11 +158,14 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
                 f"expected one of Assistant/Associate/Full, got {rank_text!r}",
             )
         years = _parse_int(path, line, "years_active", years_text, 0)
-        records.append(ResearcherRecord(rid, inst, field_code, rank, years))
+        records.append(ResearcherRecord(
+            rid, shared.setdefault(inst, inst), shared.setdefault(field_code, field_code),
+            rank, years,
+        ))
     return records
 
 
-def _parse_slot(path: str, line: int, part: str) -> AuthorSlot:
+def _parse_slot(path: str, line: int, part: str, shared: dict) -> AuthorSlot:
     fields = part.split(":")
     if len(fields) != 3:
         raise ParseError(
@@ -171,7 +178,11 @@ def _parse_slot(path: str, line: int, part: str) -> AuthorSlot:
     if not inst:
         raise ParseError(path, line, "authors", f"slot {part!r} has no institution")
     rid = rid.strip()
-    return AuthorSlot(position, None if rid == "-" else rid, inst)
+    return AuthorSlot(
+        position,
+        None if rid == "-" else shared.setdefault(rid, rid),
+        shared.setdefault(inst, inst),
+    )
 
 
 _POSITION = attrgetter("position")
@@ -182,9 +193,13 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
 
     Slot text repeats across bylines (external co-authors, a researcher at
     the same position), so each distinct text is parsed once per call and
-    its frozen slot shared; only slots that parsed cleanly are kept."""
+    its frozen slot shared; only slots that parsed cleanly are kept. Years,
+    subject categories and the ids inside slots repeat too, so each distinct
+    value is held once per call."""
     records = []
     parsed: dict[str, AuthorSlot] = {}
+    # str and int keys never collide, so one dict serves every shared value.
+    shared: dict = {}
     for line, row in _read_rows(path, PUBLICATION_HEADER):
         pid, year_text, category, citations_text, authors_cell = row
         year = _parse_int(path, line, "year", year_text, 0)
@@ -193,10 +208,13 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
         for part in authors_cell.split(";"):
             slot = parsed.get(part)
             if slot is None:
-                slot = parsed[part] = _parse_slot(path, line, part)
+                slot = parsed[part] = _parse_slot(path, line, part, shared)
             authors.append(slot)
         authors.sort(key=_POSITION)
-        records.append(PublicationRecord(pid, year, category, citations, tuple(authors)))
+        records.append(PublicationRecord(
+            pid, shared.setdefault(year, year), shared.setdefault(category, category),
+            citations, tuple(authors),
+        ))
     return records
 
 
@@ -380,7 +398,8 @@ _SIZE_SLOPE = """{
 
 def _number(value) -> str:
     """A number as ``json.dumps(..., allow_nan=False)`` writes it: a float by
-    ``float.__repr__``, an int (a band level a caller gave as 2) by ``int``'s."""
+    ``float.__repr__``, an int (the level of a ``BandPoint`` built with one)
+    by ``int``'s."""
     if not isinstance(value, float):
         return int.__repr__(value)
     if not math.isfinite(value):
@@ -514,6 +533,25 @@ def _duplicate_output(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _read_and_score(
+    args: argparse.Namespace,
+) -> tuple[AssessablePopulation, list[ResearcherScore], AssessmentConfig]:
+    """Read and validate the inputs, apply the exclusions and score every
+    kept researcher. Only the population, the scores and the config leave
+    this call, so the input records are freed before the report is built."""
+    researchers = read_researchers_csv(args.researchers)
+    publications = read_publications_csv(args.publications)
+    baselines = read_baselines_csv(args.baselines)
+    config = parse_config_file(args.config) if args.config else AssessmentConfig()
+    dataset = validate_dataset(researchers, publications, baselines, config)
+    population = apply_exclusions(dataset, config)
+    scores = [
+        researcher_fss(rec, dataset.publications_for(rec.researcher_id), baselines, config)
+        for rec in population.researchers
+    ]
+    return population, scores, config
+
+
 def run_assessment(args: argparse.Namespace) -> int:
     """The ``assess`` command on its parsed arguments; returns the exit code."""
     duplicate = _duplicate_output(args)
@@ -522,32 +560,7 @@ def run_assessment(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        researchers = read_researchers_csv(args.researchers)
-        publications = read_publications_csv(args.publications)
-        baselines = read_baselines_csv(args.baselines)
-        config = parse_config_file(args.config) if args.config else AssessmentConfig()
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        dataset = validate_dataset(researchers, publications, baselines, config)
-    except ValidationErrors as exc:
-        for violation in exc.errors:
-            print(f"error: {violation}", file=sys.stderr)
-        return 1
-
-    try:
-        population = apply_exclusions(dataset, config)
-        scores = [
-            researcher_fss(
-                rec, dataset.publications_for(rec.researcher_id), baselines, config
-            )
-            for rec in population.researchers
-        ]
+        population, scores, config = _read_and_score(args)
         report = build_funnel_report(population, scores, config)
         outputs = {args.report: emit_report(report)}
         if args.funnel_svg:
@@ -556,6 +569,16 @@ def run_assessment(args: argparse.Namespace) -> int:
             outputs[args.qq_svg] = render_qq_svg(report)
         if args.caterpillar_svg:
             outputs[args.caterpillar_svg] = render_caterpillar_svg(report)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValidationErrors as exc:
+        for violation in exc.errors:
+            print(f"error: {violation}", file=sys.stderr)
+        return 1
+    except IoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except AssessmentError as exc:
         print(f"error: pipeline failed: {exc}", file=sys.stderr)
         return 3

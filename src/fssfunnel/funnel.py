@@ -59,7 +59,7 @@ class BandPoint:
     upper: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstitutionSummary:
     institution_id: str
     size: int

@@ -51,7 +51,7 @@ class FractionalWeights:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResearcherScore:
     researcher_id: str
     fss: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property
 
 from .errors import (
     DataViolation,
@@ -82,27 +81,34 @@ class AuthorSlot:
             raise ValueError(f"position must be >= 1, got {self.position}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
     publication_id: str
     year: int
     subject_category: str
     citations: int
     authors: tuple[AuthorSlot, ...]
+    # Filled by ``first_slots`` on first use.
+    _first_slots: dict[str, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.citations < 0:
             raise ValueError(f"citations must be >= 0, got {self.citations}")
         object.__setattr__(self, "authors", tuple(self.authors))
 
-    @cached_property
+    @property
     def first_slots(self) -> dict[str, int]:
         """Researcher id -> index of that researcher's first byline slot.
         Built on first use; authors outside the population are not keys."""
-        index: dict[str, int] = {}
-        for i, slot in enumerate(self.authors):
-            if slot.researcher_id is not None:
-                index.setdefault(slot.researcher_id, i)
+        index = self._first_slots
+        if index is None:
+            index = {}
+            for i, slot in enumerate(self.authors):
+                if slot.researcher_id is not None:
+                    index.setdefault(slot.researcher_id, i)
+            object.__setattr__(self, "_first_slots", index)
         return index
 
 
@@ -181,7 +187,8 @@ class AssessmentConfig:
             raise ValueError("band_z_levels needs at least two positive levels")
         if any(b >= a for a, b in zip(levels[1:], levels)):
             raise ValueError("band_z_levels must be strictly increasing")
-        object.__setattr__(self, "band_z_levels", levels)
+        # As floats, so levels given as ints report as a config file's do.
+        object.__setattr__(self, "band_z_levels", tuple(float(z) for z in levels))
         lo, hi = self.delta_bracket
         if not (0 < lo < hi):
             raise ValueError("delta_bracket must be a positive increasing interval")

@@ -30,7 +30,14 @@ from fssfunnel.funnel import (
     PooledFit,
     qq_max_deviation,
 )
-from fssfunnel.model import AssessmentConfig, AuthorSlot, Rank, WeightingScheme
+from fssfunnel.model import (
+    AssessmentConfig,
+    AuthorSlot,
+    PublicationRecord,
+    Rank,
+    ValidatedDataset,
+    WeightingScheme,
+)
 from fssfunnel.transform import TransformSpec
 from helpers import make_report
 
@@ -502,6 +509,26 @@ def test_paused_collector_leaves_cycles_independent_of_input_size(tmp_path):
     assert counts[0] == counts[1]
 
 
+def test_input_records_are_freed_before_the_report_is_built(tmp_path, monkeypatch):
+    def alive() -> int:
+        return sum(
+            isinstance(obj, (PublicationRecord, ValidatedDataset)) for obj in gc.get_objects()
+        )
+
+    build = fssfunnel.cli.build_funnel_report
+    seen = []
+
+    def counting_build(population, scores, config):
+        seen.append(alive())
+        return build(population, scores, config)
+
+    monkeypatch.setattr(fssfunnel.cli, "build_funnel_report", counting_build)
+    paths = write_fixture(tmp_path)
+    before = alive()
+    assert main(assess_args(paths, tmp_path, ["--quiet"])) == 0
+    assert seen == [before]
+
+
 def test_repeated_publication_id_is_rejected(tmp_path, capsys):
     paths = write_fixture(tmp_path)
     publications = tmp_path / "publications.csv"
@@ -647,6 +674,38 @@ def test_byline_out_of_order_is_sorted_by_position(tmp_path):
     assert third.authors == (AuthorSlot(1, "a1", "A"), AuthorSlot(2, None, "X"))
 
 
+def test_readers_hold_each_repeated_value_once(tmp_path):
+    researchers = tmp_path / "researchers.csv"
+    researchers.write_text(
+        "researcher_id,institution_id,field_code,rank,years_active\n"
+        "a1,U01,Biochemistry,Full,4\n"
+        "a2,U01,Biochemistry,Assistant,3\n",
+        encoding="utf-8",
+    )
+    first, second = read_researchers_csv(str(researchers))
+    assert first.institution_id is second.institution_id
+    assert first.field_code is second.field_code
+
+    publications = tmp_path / "publications.csv"
+    publications.write_text(
+        "publication_id,year,subject_category,citations,authors\n"
+        "q01,2010,Biochemistry,10,1:a1:U01;2:a2:U01\n"
+        "q02,2010,Biochemistry,8,1:a2:U01;2:-:U02;3:a1:U01\n",
+        encoding="utf-8",
+    )
+    first, second = read_publications_csv(str(publications))
+    assert first.year is second.year
+    assert first.subject_category is second.subject_category
+    slots = first.authors + second.authors
+    # The same id at another position is another slot text, but one id object.
+    for rid in ("a1", "a2"):
+        held = [slot.researcher_id for slot in slots if slot.researcher_id == rid]
+        assert len(held) == 2 and held[0] is held[1]
+    institutions = [slot.institution_id for slot in slots if slot.institution_id == "U01"]
+    assert len(institutions) == 4
+    assert all(inst is institutions[0] for inst in institutions)
+
+
 def test_synth_roundtrip_small(tmp_path):
     out = tmp_path / "fixture"
     assert main([
@@ -685,6 +744,13 @@ def test_emit_report_round_trips_and_is_stable():
     assert payload["fit"]["grand_mean"] == report.fit.grand_mean
     assert payload["transform"]["delta"] == report.transform.delta
     assert payload["institutions"][0]["mean_transformed"] == report.summaries[0].mean_transformed
+
+
+def test_int_band_levels_emit_the_bytes_of_float_levels():
+    values = {"A": [0.1, 0.5, 0.2, 0.9, 0.33], "B": [0.0, 0.41, 0.07, 0.64, 0.5, 0.28]}
+    assert emit_report(make_report(values, band_z_levels=(2, 3))) == emit_report(
+        make_report(values, band_z_levels=(2.0, 3.0))
+    )
 
 
 # The report's JSON as json.dumps writes it from a plain payload: the oracle

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from fssfunnel.errors import (
@@ -10,16 +12,18 @@ from fssfunnel.errors import (
     ValidationErrors,
     YearsOutOfRange,
 )
+from fssfunnel.indicator import ResearcherScore
 from fssfunnel.model import (
     AssessmentConfig,
     AuthorSlot,
     CitationBaseline,
+    PublicationRecord,
     Rank,
     ResearcherRecord,
     apply_exclusions,
     validate_dataset,
 )
-from helpers import baseline, byline, publication, researcher
+from helpers import baseline, byline, make_report, publication, researcher
 
 CONFIG = AssessmentConfig()
 
@@ -253,3 +257,50 @@ def test_config_defaults_match_documented_values():
     assert config.salary_coefficients[Rank.FULL] == 2.0
     assert config.band_z_levels == (2.0, 3.0)
     assert config.period_length == 5
+
+
+def test_band_levels_given_as_ints_are_held_as_floats():
+    levels = AssessmentConfig(band_z_levels=(2, 3)).band_z_levels
+    assert levels == (2.0, 3.0)
+    assert all(type(z) is float for z in levels)
+
+
+@pytest.mark.parametrize("levels", [("2", "3"), (2j, 3j), (None, 3.0)])
+def test_band_levels_that_are_not_real_numbers_raise(levels):
+    with pytest.raises(TypeError):
+        AssessmentConfig(band_z_levels=levels)
+
+
+def test_per_entity_records_have_no_instance_dict():
+    report = make_report(
+        {"A": [0.1, 0.5, 0.2, 0.9, 0.33], "B": [0.0, 0.41, 0.07, 0.64, 0.5, 0.28]}
+    )
+    records = [
+        researcher("r1"),
+        AuthorSlot(1, "r1", "u01"),
+        publication("p1", 3, byline("u01", researcher_ids=["r1"])),
+        ResearcherScore("r1", 0.5, 1.0, 4, 1),
+        report.summaries[0],
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", 1)
+
+
+def test_first_slots_memo_is_no_part_of_the_record():
+    def repeated_author():
+        authors = byline("u01", "u02", "u01", researcher_ids=["r1", "r2", "r1"])
+        return publication("p1", 3, authors)
+
+    built, fresh = repeated_author(), repeated_author()
+    # The first slot wins for a repeated id; the memo is built once.
+    assert built.first_slots == {"r1": 0, "r2": 1}
+    assert built.first_slots is built.first_slots
+    assert built == fresh
+    assert hash(built) == hash(fresh)
+    assert repr(built) == repr(fresh)
+    assert "first_slots" not in repr(built)
+    assert list(inspect.signature(PublicationRecord).parameters) == [
+        "publication_id", "year", "subject_category", "citations", "authors",
+    ]
