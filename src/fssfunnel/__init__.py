@@ -37,7 +37,6 @@ from .funnel import (
     size_slope,
 )
 from .indicator import (
-    FractionalWeights,
     ResearcherScore,
     fractional_weights,
     normalized_impact,

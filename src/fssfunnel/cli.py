@@ -145,6 +145,9 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
     shared: dict[str, str] = {}
     for line, row in _read_rows(path, RESEARCHER_HEADER):
         rid, inst, field_code, rank_text, years_text = row
+        if not rid.strip() or not inst.strip():
+            column = "institution_id" if rid.strip() else "researcher_id"
+            raise ParseError(path, line, column, "must not be blank")
         if rid in seen:
             raise ParseError(
                 path, line, "researcher_id",
@@ -768,7 +771,7 @@ def _append_publications(
         if rng.random() < 0.5:
             return serial  # no publications at all
         serial += 1
-        byline = _random_byline(rng, rid, inst)
+        byline, _ = _random_byline(rng, rid, inst)
         rows.append(
             [f"p{serial:05d}", str(int(rng.choice(years))), category, "0",
              _format_byline(byline)]
@@ -781,11 +784,8 @@ def _append_publications(
     budget = target * salary * tenure
     for share in shares:
         serial += 1
-        byline = _random_byline(rng, rid, inst)
-        position = next(
-            i for i, slot in enumerate(byline) if slot.researcher_id == rid
-        )
-        weight = fractional_weights(byline)[position]
+        byline, index = _random_byline(rng, rid, inst)
+        weight = fractional_weights(byline)[index]
         year = int(rng.choice(years))
         citations = max(0, round(share * budget * baselines[year] / weight))
         rows.append(
@@ -795,7 +795,8 @@ def _append_publications(
     return serial
 
 
-def _random_byline(rng, rid, inst) -> tuple[AuthorSlot, ...]:
+def _random_byline(rng, rid, inst) -> tuple[tuple[AuthorSlot, ...], int]:
+    """A byline among unassessed co-authors, and the index of ``rid``'s slot."""
     count = int(rng.integers(1, 9))
     position = int(rng.integers(count))
     slots = []
@@ -811,7 +812,7 @@ def _random_byline(rng, rid, inst) -> tuple[AuthorSlot, ...]:
             slots[0] = AuthorSlot(1, None, last.institution_id)
         elif last.researcher_id is None:
             slots[-1] = AuthorSlot(count, None, first.institution_id)
-    return tuple(slots)
+    return tuple(slots), position
 
 
 def _format_byline(slots) -> str:

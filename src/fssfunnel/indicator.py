@@ -31,26 +31,6 @@ _EXTRA_NEAR = 0.15
 _EXTRA_OTHER_POOL = 0.10
 
 
-@dataclass(frozen=True)
-class FractionalWeights:
-    """Per-author credit shares aligned with a publication's byline."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if any(w < 0 or w > 1 for w in self.weights):
-            raise ValueError("weights must lie in [0, 1]")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
-
-    def __getitem__(self, index: int) -> float:
-        return self.weights[index]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 @dataclass(frozen=True, slots=True)
 class ResearcherScore:
     researcher_id: str
@@ -63,8 +43,8 @@ class ResearcherScore:
 def fractional_weights(
     authors: tuple[AuthorSlot, ...] | list[AuthorSlot],
     scheme: WeightingScheme = WeightingScheme.LIFE_SCIENCE,
-) -> FractionalWeights:
-    """Split one unit of credit across a byline.
+) -> tuple[float, ...]:
+    """Split one unit of credit across a byline: one weight per slot.
 
     Under the life-science scheme each author is paid from the strongest tier
     its position qualifies for (first/last beat second/penultimate beat the
@@ -88,13 +68,19 @@ def fractional_weights(
 @lru_cache(maxsize=256)
 def _weights_for(
     count: int, intramural: bool, scheme: WeightingScheme
-) -> FractionalWeights:
+) -> tuple[float, ...]:
     if scheme is WeightingScheme.UNIFORM:
         raw = [1.0 / count] * count
     else:
         raw = _positional_weights(count, intramural)
     total = sum(raw)
-    return FractionalWeights(tuple(w / total for w in raw))
+    weights = tuple(w / total for w in raw)
+    # A self-check of the rules above, run once per cached vector.
+    if any(w < 0 or w > 1 for w in weights):
+        raise ValueError("weights must lie in [0, 1]")
+    if abs(sum(weights) - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {sum(weights)}")
+    return weights
 
 
 def _positional_weights(count: int, intramural: bool) -> list[float]:
@@ -154,7 +140,13 @@ def researcher_fss(
             continue
         count += 1
         weights = fractional_weights(pub.authors, config.weighting_scheme)
-        index = _byline_index(pub, researcher.researcher_id)
+        try:
+            index = pub.first_slots[researcher.researcher_id]
+        except KeyError:
+            raise ValueError(
+                f"publication {pub.publication_id!r} is not authored by "
+                f"{researcher.researcher_id!r}"
+            ) from None
         total += normalized_impact(pub, baselines) * weights[index]
     fss = total / salary / researcher.years_active
     return ResearcherScore(
@@ -164,12 +156,3 @@ def researcher_fss(
         years_active=researcher.years_active,
         publication_count=count,
     )
-
-
-def _byline_index(pub: PublicationRecord, researcher_id: str) -> int:
-    try:
-        return pub.first_slots[researcher_id]
-    except KeyError:
-        raise ValueError(
-            f"publication {pub.publication_id!r} is not authored by {researcher_id!r}"
-        ) from None

@@ -7,7 +7,7 @@ faculty is too small. Both thresholds live in :class:`AssessmentConfig`.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -64,6 +64,8 @@ class ResearcherRecord:
     def __post_init__(self):
         if self.years_active < 0:
             raise ValueError(f"years_active must be >= 0, got {self.years_active}")
+        if not self.researcher_id.strip() or not self.institution_id.strip():
+            raise ValueError("researcher_id and institution_id must not be blank")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +122,10 @@ class CitationBaseline:
 
     def __post_init__(self):
         for key, mean in self.entries.items():
-            if mean <= 0:
-                raise ValueError(f"baseline mean for {key} must be > 0, got {mean}")
+            if not math.isfinite(mean) or mean <= 0:
+                raise ValueError(
+                    f"baseline mean for {key} must be finite and > 0, got {mean}"
+                )
 
     def lookup(self, year: int, subject_category: str) -> float:
         try:
@@ -164,10 +168,20 @@ class AssessmentConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            value = getattr(self, f.name)
             if isinstance(f.default, Enum):
                 # The Enum call returns a member unchanged, maps a value to
                 # its member and raises ValueError on anything else.
-                object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
+                object.__setattr__(self, f.name, type(f.default)(value))
+                continue
+            if isinstance(value, dict):
+                value = value.values()
+            elif not isinstance(value, (tuple, list)):
+                value = (value,)
+            for item in value:
+                # NaN slips past every check below, and JSON holds neither it nor inf.
+                if isinstance(item, float) and not math.isfinite(item):
+                    raise ValueError(f"{f.name} must be finite, got {item}")
         if self.period_end < self.period_start:
             raise ValueError("period_end must be >= period_start")
         if self.min_years_active < 1:
@@ -210,24 +224,16 @@ class AssessmentConfig:
 
 @dataclass
 class ValidatedDataset:
+    """Built by :func:`validate_dataset`, which also indexes each researcher's
+    publications in input order."""
+
     researchers: tuple[ResearcherRecord, ...]
     publications: tuple[PublicationRecord, ...]
     baselines: CitationBaseline
-
-    def __post_init__(self):
-        self.researchers = tuple(self.researchers)
-        self.publications = tuple(self.publications)
-        by_researcher: dict[str, list[PublicationRecord]] = {}
-        for pub in self.publications:
-            for slot in pub.authors:
-                if slot.researcher_id is not None:
-                    by_researcher.setdefault(slot.researcher_id, []).append(pub)
-        self._publications_by_researcher = {
-            rid: tuple(pubs) for rid, pubs in by_researcher.items()
-        }
+    _by_researcher: dict[str, tuple[PublicationRecord, ...]] = field(repr=False)
 
     def publications_for(self, researcher_id: str) -> tuple[PublicationRecord, ...]:
-        return self._publications_by_researcher.get(researcher_id, ())
+        return self._by_researcher.get(researcher_id, ())
 
 
 @dataclass
@@ -278,8 +284,12 @@ def validate_dataset(
 
     known_ids = {rec.researcher_id for rec in researchers}
     missing_baselines: set[tuple[int, str]] = set()
+    by_researcher: dict[str, list[PublicationRecord]] = {}
     for pub in publications:
-        errors.extend(_author_list_violations(pub, known_ids))
+        listed = [s.researcher_id for s in pub.authors if s.researcher_id is not None]
+        errors.extend(_author_list_violations(pub, listed, known_ids))
+        for rid in listed:
+            by_researcher.setdefault(rid, []).append(pub)
         if not config.period_start <= pub.year <= config.period_end:
             continue  # never scored, so it needs no baseline
         key = (pub.year, pub.subject_category)
@@ -289,7 +299,9 @@ def validate_dataset(
 
     if errors:
         raise ValidationErrors(errors)
-    return ValidatedDataset(tuple(researchers), tuple(publications), baselines)
+    # A short list keeps spare capacity, which would stay allocated through scoring.
+    index = {rid: tuple(pubs) for rid, pubs in by_researcher.items()}
+    return ValidatedDataset(tuple(researchers), tuple(publications), baselines, index)
 
 
 def _repeated(ids) -> list[str]:
@@ -305,8 +317,9 @@ def _repeated(ids) -> list[str]:
 
 
 def _author_list_violations(
-    pub: PublicationRecord, known_ids: set[str]
+    pub: PublicationRecord, listed: list[str], known_ids: set[str]
 ) -> list[DataViolation]:
+    """The byline's violations; ``listed`` holds its assessed ids in order."""
     errors: list[DataViolation] = []
     if not pub.authors:
         errors.append(MalformedAuthorList(pub.publication_id, "empty author list"))
@@ -321,11 +334,8 @@ def _author_list_violations(
                 )
             )
             break
-    listed = [s.researcher_id for s in pub.authors if s.researcher_id is not None]
-    duplicated: set[str] = set()
-    # Counting is the rare path; the set is cheaper on short bylines.
-    if len(set(listed)) != len(listed):
-        duplicated = {rid for rid, count in Counter(listed).items() if count > 1}
+    # Most bylines repeat no one, and one set says so at C speed.
+    duplicated = set(_repeated(listed)) if len(set(listed)) != len(listed) else set()
     for rid in sorted(duplicated):
         errors.append(
             MalformedAuthorList(

@@ -132,7 +132,7 @@ def test_criterion_01_weight_conservation(capsys):
             slots = tuple(
                 AuthorSlot(i + 1, None, inst) for i, inst in enumerate(insts)
             )
-            weights = fractional_weights(slots).weights
+            weights = fractional_weights(slots)
             assert abs(sum(weights) - 1.0) <= 1e-12
             assert list(weights) == oracle_weights(insts)
         elapsed = time.perf_counter() - started

@@ -265,6 +265,17 @@ def test_years_active_beyond_period_is_rejected(tmp_path, capsys):
          "config.txt:3: column 'delta_bracket'"),
         ("salary_coefficient_full=0\nmin_faculty=2",
          "config.txt:1: column 'salary_coefficient_full'"),
+        # JSON holds no NaN or infinity, so a non-finite value fails here
+        # rather than after the whole run.
+        ("min_faculty=2\nsalary_coefficient_full=nan",
+         "config.txt:2: column 'salary_coefficient_full': salary_coefficients must be finite"),
+        ("salary_coefficient_full=inf", "config.txt:1: column 'salary_coefficient_full'"),
+        ("band_z_levels=2,inf",
+         "config.txt:1: column 'band_z_levels': band_z_levels must be finite"),
+        ("delta_bracket=1e-9,inf",
+         "config.txt:1: column 'delta_bracket': delta_bracket must be finite"),
+        ("skewness_tolerance=nan",
+         "config.txt:1: column 'skewness_tolerance': skewness_tolerance must be finite"),
     ],
 )
 def test_config_file_errors(tmp_path, capsys, line, fragment):
@@ -274,6 +285,7 @@ def test_config_file_errors(tmp_path, capsys, line, fragment):
     code = main(assess_args(paths, tmp_path, extra=["--config", str(config)]))
     assert code == 1
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_config_file_overrides(tmp_path):
@@ -597,8 +609,12 @@ def test_parse_error_names_file_line_and_column(tmp_path, capsys):
         ("r1,A,Biochemistry,Full,3",
          "researchers.csv:4: column 'researcher_id': "
          "duplicate researcher id 'r1' (first seen on line 2)"),
+        ("r2,,Biochemistry,Full,3",
+         "researchers.csv:4: column 'institution_id': must not be blank"),
+        (" ,A,Biochemistry,Full,3",
+         "researchers.csv:4: column 'researcher_id': must not be blank"),
     ],
-    ids=["bad-rank", "duplicate-id"],
+    ids=["bad-rank", "duplicate-id", "blank-institution", "blank-researcher"],
 )
 def test_researcher_errors_name_the_file_line_after_a_multiline_field(
     tmp_path, row, message

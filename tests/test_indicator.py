@@ -8,7 +8,6 @@ from fssfunnel import indicator
 from fssfunnel.errors import EmptyAuthorList, MissingBaseline, MissingScore, ZeroYearsActive
 from fssfunnel.funnel import build_funnel_report
 from fssfunnel.indicator import (
-    FractionalWeights,
     ResearcherScore,
     fractional_weights,
     normalized_impact,
@@ -29,24 +28,24 @@ affiliations = st.lists(
 
 
 def test_five_authors_shared_ends_split_forty_forty_and_middle_pool():
-    weights = fractional_weights(byline("a", "b", "c", "d", "a")).weights
+    weights = fractional_weights(byline("a", "b", "c", "d", "a"))
     expected = [0.40, 0.2 / 3, 0.2 / 3, 0.2 / 3, 0.40]
     assert all(math.isclose(w, e, abs_tol=1e-9) for w, e in zip(weights, expected))
 
 
 def test_six_authors_distinct_ends_use_positional_tiers():
-    weights = fractional_weights(byline("a", "b", "c", "d", "e", "f")).weights
+    weights = fractional_weights(byline("a", "b", "c", "d", "e", "f"))
     expected = [0.30, 0.15, 0.05, 0.05, 0.15, 0.30]
     assert all(math.isclose(w, e, abs_tol=1e-9) for w, e in zip(weights, expected))
 
 
 def test_single_author_takes_all_credit():
-    assert fractional_weights(byline("a")).weights == (1.0,)
+    assert fractional_weights(byline("a")) == (1.0,)
 
 
 def test_two_authors_same_institution_renormalize_to_halves():
     # 0.40/0.40 with no middle recipients renormalizes by 0.8.
-    weights = fractional_weights(byline("a", "a")).weights
+    weights = fractional_weights(byline("a", "a"))
     assert weights == (0.5, 0.5)
 
 
@@ -57,7 +56,7 @@ def test_empty_author_list_rejected():
 
 def test_uniform_scheme():
     weights = fractional_weights(byline("a", "b", "c", "d"), WeightingScheme.UNIFORM)
-    assert all(w == 0.25 for w in weights.weights)
+    assert all(w == 0.25 for w in weights)
 
 
 def test_uniform_scheme_given_by_its_string_value():
@@ -74,7 +73,7 @@ def test_uniform_scheme_given_by_its_string_value():
 @given(affiliations)
 @settings(max_examples=200)
 def test_weights_sum_to_one_and_lie_in_unit_interval(insts):
-    weights = fractional_weights(byline(*insts)).weights
+    weights = fractional_weights(byline(*insts))
     assert abs(sum(weights) - 1.0) <= 1e-12
     assert all(0.0 <= w <= 1.0 for w in weights)
 
@@ -82,16 +81,22 @@ def test_weights_sum_to_one_and_lie_in_unit_interval(insts):
 @given(affiliations)
 @settings(max_examples=200)
 def test_weights_reverse_with_the_byline(insts):
-    forward = fractional_weights(byline(*insts)).weights
-    backward = fractional_weights(byline(*reversed(insts))).weights
+    forward = fractional_weights(byline(*insts))
+    backward = fractional_weights(byline(*reversed(insts)))
     assert forward == tuple(reversed(backward))
 
 
-def test_fractional_weights_type_rejects_bad_vectors():
-    with pytest.raises(ValueError):
-        FractionalWeights((0.7, 0.7))
-    with pytest.raises(ValueError):
-        FractionalWeights((1.2, -0.2))
+def test_weights_self_check_rejects_bad_vectors(monkeypatch):
+    # Sums to 1 but leaves [0, 1]: a tier rule gone wrong must not score.
+    monkeypatch.setattr(
+        indicator, "_positional_weights", lambda count, intramural: [1.2, -0.2]
+    )
+    indicator._weights_for.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            fractional_weights(byline("u01", "u02"))
+    finally:
+        indicator._weights_for.cache_clear()
 
 
 def test_normalized_impact_examples():

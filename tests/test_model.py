@@ -1,6 +1,9 @@
 import inspect
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fssfunnel.errors import (
     DuplicatePublicationId,
@@ -14,6 +17,7 @@ from fssfunnel.errors import (
 )
 from fssfunnel.indicator import ResearcherScore
 from fssfunnel.model import (
+    DEFAULT_SALARY_COEFFICIENTS,
     AssessmentConfig,
     AuthorSlot,
     CitationBaseline,
@@ -41,6 +45,29 @@ def test_validate_minimal_dataset():
     assert len(dataset.researchers) == 1
     assert len(dataset.publications) == 1
     assert dataset.publications_for("r1") == (pubs[0],)
+
+
+@given(st.lists(
+    st.lists(st.sampled_from(["r1", "r2", "r3", "r4", None]), min_size=1, max_size=6),
+    max_size=12,
+))
+@settings(deadline=None)
+def test_publications_for_lists_each_researchers_bylines_in_input_order(bylines):
+    pubs = []
+    for n, ids in enumerate(bylines):
+        # Keep each researcher's first slot only; validation rejects repeats.
+        ids = [rid if rid not in ids[:i] else None for i, rid in enumerate(ids)]
+        year = 2008 if n % 3 else 2020  # the index ignores the period
+        authors = byline(*["u01"] * len(ids), researcher_ids=ids)
+        pubs.append(publication(f"p{n}", n, authors, year=year))
+    recs = [researcher(rid) for rid in ("r1", "r2", "r3", "r4", "r5")]
+    dataset = validate_dataset(recs, pubs, baseline(), CONFIG)
+    for rec in recs:
+        expected = tuple(
+            p for p in pubs if rec.researcher_id in [s.researcher_id for s in p.authors]
+        )
+        assert dataset.publications_for(rec.researcher_id) == expected
+    assert dataset.publications_for("r5") == ()
 
 
 def test_validate_missing_baseline():
@@ -227,6 +254,19 @@ def test_baseline_rejects_non_positive_mean():
         CitationBaseline({(2008, "Biochemistry"): 0.0})
 
 
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+def test_baseline_rejects_non_finite_mean(mean):
+    # The reader's rule: a NaN mean would otherwise give a NaN pooled SD.
+    with pytest.raises(ValueError, match="finite"):
+        CitationBaseline({(2008, "Biochemistry"): mean})
+
+
+@pytest.mark.parametrize("rid, inst", [("", "u01"), ("r1", " ")])
+def test_researcher_record_rejects_blank_ids(rid, inst):
+    with pytest.raises(ValueError, match="blank"):
+        researcher(rid, inst=inst)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -241,6 +281,11 @@ def test_baseline_rejects_non_positive_mean():
         {"salary_coefficients": {Rank.ASSISTANT: 1.0}},
         {"skewness_target": "median"},
         {"weighting_scheme": "bogus"},
+        {"salary_coefficients": {**DEFAULT_SALARY_COEFFICIENTS, Rank.FULL: math.nan}},
+        {"salary_coefficients": {**DEFAULT_SALARY_COEFFICIENTS, Rank.FULL: math.inf}},
+        {"band_z_levels": (2.0, math.inf)},
+        {"delta_bracket": (1e-9, math.inf)},
+        {"skewness_tolerance": math.nan},
     ],
 )
 def test_config_invariants(kwargs):
