@@ -14,7 +14,6 @@ from .errors import (
     IoError,
     MalformedAuthorList,
     MissingBaseline,
-    MissingScore,
     NonPositiveShift,
     ParseError,
     UnknownResearcherRef,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import AssessmentError, IoError, ParseError, ValidationErrors
 from .funnel import FunnelReport, build_funnel_report, qq_max_deviation
-from .indicator import ResearcherScore, fractional_weights, researcher_fss
+from .indicator import fractional_weights, researcher_fss
 from .model import (
     AssessablePopulation,
     AssessmentConfig,
@@ -263,8 +263,8 @@ def _config_file_keys() -> dict[str, tuple[str, object, Enum | None]]:
 
 
 def _convert(hint, text: str):
-    """One config value as ``hint`` (a number type, an Enum or a tuple of
-    numbers); ValueError with a message for the user on bad input."""
+    """One config value as ``hint`` (a number type, an Enum or a fixed-length
+    tuple of numbers); ValueError with a message for the user on bad input."""
     if isinstance(hint, type) and issubclass(hint, Enum):
         allowed = sorted(member.value for member in hint)
         if text not in allowed:
@@ -277,7 +277,7 @@ def _convert(hint, text: str):
         value = tuple(args[0](part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad value {text!r}") from None
-    if args[-1] is not Ellipsis and len(value) != len(args):
+    if len(value) != len(args):
         raise ValueError(f"expected {len(args)} values, got {text!r}")
     return value
 
@@ -538,21 +538,25 @@ def _duplicate_output(args: argparse.Namespace) -> str | None:
 
 def _read_and_score(
     args: argparse.Namespace,
-) -> tuple[AssessablePopulation, list[ResearcherScore], AssessmentConfig]:
+) -> tuple[AssessablePopulation, dict[str, list[float]], AssessmentConfig]:
     """Read and validate the inputs, apply the exclusions and score every
-    kept researcher. Only the population, the scores and the config leave
-    this call, so the input records are freed before the report is built."""
+    kept researcher. Only the population, each institution's FSS values and
+    the config leave this call, so the input records are freed before the
+    report is built."""
     researchers = read_researchers_csv(args.researchers)
     publications = read_publications_csv(args.publications)
     baselines = read_baselines_csv(args.baselines)
     config = parse_config_file(args.config) if args.config else AssessmentConfig()
     dataset = validate_dataset(researchers, publications, baselines, config)
     population = apply_exclusions(dataset, config)
-    scores = [
-        researcher_fss(rec, dataset.publications_for(rec.researcher_id), baselines, config)
-        for rec in population.researchers
-    ]
-    return population, scores, config
+    values = {
+        inst: [
+            researcher_fss(r, dataset.publications_for(r.researcher_id), baselines, config).fss
+            for r in members
+        ]
+        for inst, members in population.institutions.items()
+    }
+    return population, values, config
 
 
 def run_assessment(args: argparse.Namespace) -> int:
@@ -563,8 +567,8 @@ def run_assessment(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        population, scores, config = _read_and_score(args)
-        report = build_funnel_report(population, scores, config)
+        population, values, config = _read_and_score(args)
+        report = build_funnel_report(values, config)
         outputs = {args.report: emit_report(report)}
         if args.funnel_svg:
             outputs[args.funnel_svg] = render_funnel_svg(report)

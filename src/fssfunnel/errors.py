@@ -88,12 +88,6 @@ class ZeroYearsActive(AssessmentError):
         )
 
 
-class MissingScore(AssessmentError):
-    def __init__(self, researcher_id: str):
-        self.researcher_id = researcher_id
-        super().__init__(f"no score supplied for researcher {researcher_id!r}")
-
-
 class DegenerateSample(AssessmentError):
     """Too few values, or no variation, for the requested statistic."""
 

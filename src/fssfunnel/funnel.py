@@ -11,19 +11,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import inf, sqrt
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    DegenerateRegressor,
-    DegenerateSample,
-    InsufficientDegreesOfFreedom,
-    MissingScore,
-)
-from .indicator import ResearcherScore
-from .model import AssessablePopulation, AssessmentConfig, GrandMeanMode, SkewnessTarget
+from .errors import DegenerateRegressor, DegenerateSample, InsufficientDegreesOfFreedom
+from .model import AssessmentConfig, GrandMeanMode, SkewnessTarget
 from .transform import (
     TransformSpec,
     log_shift_transform,
@@ -124,24 +118,13 @@ def confidence_bands(fit: PooledFit, n: int, level_z: float) -> BandPoint:
     return BandPoint(n, level_z, fit.grand_mean - half_width, fit.grand_mean + half_width)
 
 
-def classify_institution(
-    mean_transformed: float,
-    fit: PooledFit,
-    n: int,
-    inner_z: float,
-    outer_z: float,
-) -> Classification:
-    """Label a mean against the inner and outer bands at its own size."""
-    if inner_z >= outer_z:
-        raise ValueError("inner_z must be smaller than outer_z")
-    return _label(
-        mean_transformed, confidence_bands(fit, n, inner_z), confidence_bands(fit, n, outer_z)
-    )
+def classify_institution(mean: float, inner: BandPoint, outer: BandPoint) -> Classification:
+    """Label a mean against the inner and outer bands at its own size.
 
-
-def _label(mean: float, inner: BandPoint, outer: BandPoint) -> Classification:
-    """Exceedance is strict; a mean exactly on a band counts as Within, which
+    Exceedance is strict; a mean exactly on a band counts as Within, which
     keeps boundary cases from flipping on rounding noise."""
+    if inner.level_z >= outer.level_z:
+        raise ValueError("inner_z must be smaller than outer_z")
     if mean > outer.upper:
         return Classification.ABOVE_OUTER
     if mean > inner.upper:
@@ -209,31 +192,26 @@ def size_slope(points) -> tuple[float, float]:
 
 
 def build_funnel_report(
-    population: AssessablePopulation,
-    scores: list[ResearcherScore],
-    config: AssessmentConfig,
+    values_by_institution: dict[str, list[float]], config: AssessmentConfig
 ) -> FunnelReport:
-    """Run transform, fit, bands, classification, and diagnostics end to end.
+    """Run transform, fit, bands, classification, and diagnostics end to end
+    on each institution's individual values (FSS, or any other indicator).
 
     Institutions are ordered by id throughout, so identical inputs produce an
-    identical report. A pooled SD of 0 raises DegenerateSample. Diagnostics
-    that need more institutions than the report has (quantile plot, size
-    regression) are set to None rather than failing the whole report.
+    identical report. An institution with no values, or with a value that is
+    not finite and >= 0, raises ValueError before anything is solved. A pooled
+    SD of 0 raises DegenerateSample. Diagnostics that need more institutions
+    than the report has (quantile plot, size regression) are set to None
+    rather than failing the whole report.
     """
-    score_by_id: dict[str, ResearcherScore] = {}
-    for score in scores:
-        if score.researcher_id in score_by_id:
-            raise ValueError(f"duplicate score for researcher {score.researcher_id!r}")
-        score_by_id[score.researcher_id] = score
-
     original_groups: Groups = []
-    for inst, members in population.institutions.items():
-        values = []
-        for rec in members:
-            score = score_by_id.get(rec.researcher_id)
-            if score is None:
-                raise MissingScore(rec.researcher_id)
-            values.append(score.fss)
+    for inst in sorted(values_by_institution):
+        values = [float(v) for v in values_by_institution[inst]]
+        if not values:
+            raise ValueError(f"institution {inst!r} has no values")
+        bad = next((v for v in values if not 0.0 <= v < inf), None)  # NaN is bad too
+        if bad is not None:
+            raise ValueError(f"institution {inst!r} has value {bad}, not finite and >= 0")
         original_groups.append((inst, values))
 
     pooled_values = [v for _, values in original_groups for v in values]
@@ -271,7 +249,7 @@ def build_funnel_report(
                 size=n,
                 mean_transformed=mean_t,
                 mean_original=sum(original) / n,
-                classification=_label(mean_t, inner, outer),
+                classification=classify_institution(mean_t, inner, outer),
                 inner_band=inner,
                 outer_band=outer,
             )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 from .errors import (
     DataViolation,
@@ -81,6 +82,8 @@ class AuthorSlot:
     def __post_init__(self):
         if self.position < 1:
             raise ValueError(f"position must be >= 1, got {self.position}")
+        if not self.institution_id.strip():
+            raise ValueError("institution_id must not be blank")
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,7 +162,7 @@ class AssessmentConfig:
         default_factory=lambda: dict(DEFAULT_SALARY_COEFFICIENTS),
         metadata={"key_prefix": "salary_coefficient_"},
     )
-    band_z_levels: tuple[float, ...] = (2.0, 3.0)
+    band_z_levels: tuple[float, float] = (2.0, 3.0)
     delta_bracket: tuple[float, float] = (1e-9, 10.0)
     skewness_tolerance: float = 1e-9
     weighting_scheme: WeightingScheme = WeightingScheme.LIFE_SCIENCE
@@ -197,9 +200,9 @@ class AssessmentConfig:
             self, "salary_coefficients", {rank: self.salary_coefficients[rank] for rank in Rank}
         )
         levels = tuple(self.band_z_levels)
-        if len(levels) < 2 or any(z <= 0 for z in levels):
-            raise ValueError("band_z_levels needs at least two positive levels")
-        if any(b >= a for a, b in zip(levels[1:], levels)):
+        if len(levels) != 2 or min(levels) <= 0:
+            raise ValueError("band_z_levels needs exactly two positive levels")
+        if levels[0] >= levels[1]:
             raise ValueError("band_z_levels must be strictly increasing")
         # As floats, so levels given as ints report as a config file's do.
         object.__setattr__(self, "band_z_levels", tuple(float(z) for z in levels))
@@ -219,17 +222,15 @@ class AssessmentConfig:
 
     @property
     def outer_z(self) -> float:
-        return self.band_z_levels[-1]
+        return self.band_z_levels[1]
 
 
 @dataclass
 class ValidatedDataset:
     """Built by :func:`validate_dataset`, which also indexes each researcher's
-    publications in input order."""
+    publications in publication-id order."""
 
     researchers: tuple[ResearcherRecord, ...]
-    publications: tuple[PublicationRecord, ...]
-    baselines: CitationBaseline
     _by_researcher: dict[str, tuple[PublicationRecord, ...]] = field(repr=False)
 
     def publications_for(self, researcher_id: str) -> tuple[PublicationRecord, ...]:
@@ -238,20 +239,21 @@ class ValidatedDataset:
 
 @dataclass
 class AssessablePopulation:
-    """Researchers kept after the exclusion rules, grouped by institution."""
+    """Researchers kept after the exclusion rules: institution id -> its
+    members, institutions in id order and members in researcher-id order."""
 
-    researchers: tuple[ResearcherRecord, ...]
+    institutions: dict[str, tuple[ResearcherRecord, ...]]
     dropped_researchers: int
     dropped_institutions: int
 
-    def __post_init__(self):
-        self.researchers = tuple(self.researchers)
-        groups: dict[str, list[ResearcherRecord]] = {}
-        for rec in self.researchers:
-            groups.setdefault(rec.institution_id, []).append(rec)
-        self.institutions: dict[str, tuple[ResearcherRecord, ...]] = {
-            inst: tuple(members) for inst, members in sorted(groups.items())
-        }
+    @property
+    def researchers(self) -> tuple[ResearcherRecord, ...]:
+        """Every kept researcher, institution by institution."""
+        return tuple(rec for members in self.institutions.values() for rec in members)
+
+
+_PUBLICATION_ID = attrgetter("publication_id")
+_RESEARCHER_ID = attrgetter("researcher_id")
 
 
 def validate_dataset(
@@ -266,8 +268,8 @@ def validate_dataset(
     configured observation period. A publication dated outside that period
     gets its byline checks but needs no baseline, because it is never
     scored. Raises :class:`ValidationErrors` carrying
-    all problems, period violations first; on success returns a dataset
-    holding exactly the input records. Inputs are never mutated.
+    all problems, period violations first; on success returns the
+    researchers and the index. Inputs are never mutated.
     """
     errors: list[DataViolation] = [
         YearsOutOfRange(r.researcher_id, r.years_active, config.period_length)
@@ -299,9 +301,12 @@ def validate_dataset(
 
     if errors:
         raise ValidationErrors(errors)
-    # A short list keeps spare capacity, which would stay allocated through scoring.
-    index = {rid: tuple(pubs) for rid, pubs in by_researcher.items()}
-    return ValidatedDataset(tuple(researchers), tuple(publications), baselines, index)
+    # Publication-id order makes each FSS sum independent of row order; a
+    # tuple drops the spare capacity a list would keep through scoring.
+    index = {
+        rid: tuple(sorted(pubs, key=_PUBLICATION_ID)) for rid, pubs in by_researcher.items()
+    }
+    return ValidatedDataset(tuple(researchers), index)
 
 
 def _repeated(ids) -> list[str]:
@@ -351,22 +356,25 @@ def _author_list_violations(
 def apply_exclusions(dataset, config: AssessmentConfig) -> AssessablePopulation:
     """Drop short-tenure researchers, then undersized institutions, in that order.
 
+    The one place researchers are grouped by institution; sorting each group
+    by researcher id makes the funnel's sums independent of row order.
     Accepts anything exposing a ``researchers`` sequence, so applying it to its
     own output is a no-op on membership (idempotence).
     """
-    researchers = tuple(dataset.researchers)
-    kept = [r for r in researchers if r.years_active >= config.min_years_active]
-    dropped_researchers = len(researchers) - len(kept)
-
-    sizes: dict[str, int] = {}
-    for rec in kept:
-        sizes[rec.institution_id] = sizes.get(rec.institution_id, 0) + 1
-    large_enough = {inst for inst, n in sizes.items() if n >= config.min_faculty}
-    dropped_institutions = len(sizes) - len(large_enough)
-
-    final = tuple(r for r in kept if r.institution_id in large_enough)
-    if not final:
+    groups: dict[str, list[ResearcherRecord]] = {}
+    dropped_researchers = 0
+    for rec in dataset.researchers:
+        if rec.years_active >= config.min_years_active:
+            groups.setdefault(rec.institution_id, []).append(rec)
+        else:
+            dropped_researchers += 1
+    institutions = {
+        inst: tuple(sorted(groups[inst], key=_RESEARCHER_ID))
+        for inst in sorted(groups)
+        if len(groups[inst]) >= config.min_faculty
+    }
+    if not institutions:
         raise EmptyPopulation(
             "no institution meets the faculty-size threshold after exclusions"
         )
-    return AssessablePopulation(final, dropped_researchers, dropped_institutions)
+    return AssessablePopulation(institutions, dropped_researchers, len(groups) - len(institutions))

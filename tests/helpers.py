@@ -1,7 +1,6 @@
 """Construction shortcuts shared by the test modules."""
 
 from fssfunnel.funnel import build_funnel_report
-from fssfunnel.indicator import ResearcherScore
 from fssfunnel.model import (
     AssessmentConfig,
     AuthorSlot,
@@ -9,8 +8,6 @@ from fssfunnel.model import (
     PublicationRecord,
     Rank,
     ResearcherRecord,
-    apply_exclusions,
-    validate_dataset,
 )
 
 
@@ -35,17 +32,8 @@ def baseline(entries=None):
     return CitationBaseline(entries or {(2008, "Biochemistry"): 5.0})
 
 
-def make_report(fss_by_institution, min_faculty=1, **config_kwargs):
+def make_report(fss_by_institution, **config_kwargs):
     """Full report built from raw per-institution productivity values."""
-    records, scores = [], []
-    serial = 0
-    for inst, values in fss_by_institution.items():
-        for value in values:
-            serial += 1
-            rid = f"r{serial:04d}"
-            records.append(researcher(rid, inst=inst, years=5))
-            scores.append(ResearcherScore(rid, float(value), 1.0, 5, 1))
-    config = AssessmentConfig(min_faculty=min_faculty, **config_kwargs)
-    dataset = validate_dataset(records, [], baseline(), config)
-    population = apply_exclusions(dataset, config)
-    return build_funnel_report(population, scores, config)
+    return build_funnel_report(
+        fss_by_institution, AssessmentConfig(min_faculty=1, **config_kwargs)
+    )

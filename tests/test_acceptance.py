@@ -245,7 +245,9 @@ def test_criterion_05_band_calibration(capsys):
         outside_outer = 0
         for values in groups:
             label = classify_institution(
-                float(values.mean()), fit, values.size, 2.0, 3.0
+                float(values.mean()),
+                confidence_bands(fit, values.size, 2.0),
+                confidence_bands(fit, values.size, 3.0),
             )
             if label is not Classification.WITHIN:
                 outside_inner += 1

@@ -276,6 +276,9 @@ def test_years_active_beyond_period_is_rejected(tmp_path, capsys):
          "config.txt:1: column 'delta_bracket': delta_bracket must be finite"),
         ("skewness_tolerance=nan",
          "config.txt:1: column 'skewness_tolerance': skewness_tolerance must be finite"),
+        # An inner and an outer level, no more: a middle one would go unused.
+        ("band_z_levels=1,2,3",
+         "config.txt:1: column 'band_z_levels': expected 2 values, got '1,2,3'"),
     ],
 )
 def test_config_file_errors(tmp_path, capsys, line, fragment):
@@ -309,7 +312,7 @@ min_faculty=4
 salary_coefficient_assistant=1.1
 salary_coefficient_associate=1.5
 salary_coefficient_full=2.5
-band_z_levels=1.5,2.5,3.5
+band_z_levels=1.5,3.5
 delta_bracket=1e-8,20
 skewness_tolerance=1e-10
 weighting_scheme=uniform
@@ -328,7 +331,7 @@ def test_config_file_round_trips_every_key(tmp_path):
         min_years_active=2,
         min_faculty=4,
         salary_coefficients={Rank.ASSISTANT: 1.1, Rank.ASSOCIATE: 1.5, Rank.FULL: 2.5},
-        band_z_levels=(1.5, 2.5, 3.5),
+        band_z_levels=(1.5, 3.5),
         delta_bracket=(1e-8, 20.0),
         skewness_tolerance=1e-10,
         weighting_scheme=WeightingScheme.UNIFORM,
@@ -343,7 +346,7 @@ def test_config_file_round_trips_every_key(tmp_path):
         "min_years_active": 2,
         "min_faculty": 4,
         "salary_coefficients": {"Assistant": 1.1, "Associate": 1.5, "Full": 2.5},
-        "band_z_levels": [1.5, 2.5, 3.5],
+        "band_z_levels": [1.5, 3.5],
         "delta_bracket": [1e-8, 20.0],
         "skewness_tolerance": 1e-10,
         "weighting_scheme": "uniform",
@@ -530,9 +533,9 @@ def test_input_records_are_freed_before_the_report_is_built(tmp_path, monkeypatc
     build = fssfunnel.cli.build_funnel_report
     seen = []
 
-    def counting_build(population, scores, config):
+    def counting_build(values_by_institution, config):
         seen.append(alive())
-        return build(population, scores, config)
+        return build(values_by_institution, config)
 
     monkeypatch.setattr(fssfunnel.cli, "build_funnel_report", counting_build)
     paths = write_fixture(tmp_path)

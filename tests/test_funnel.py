@@ -25,16 +25,8 @@ from fssfunnel.funnel import (
     qq_points,
     size_slope,
 )
-from fssfunnel.indicator import ResearcherScore
-from fssfunnel.model import (
-    AssessmentConfig,
-    GrandMeanMode,
-    SkewnessTarget,
-    apply_exclusions,
-    validate_dataset,
-)
+from fssfunnel.model import AssessmentConfig, GrandMeanMode, SkewnessTarget
 from fssfunnel.transform import sample_skewness, solve_zero_skew, zero_skewness_delta
-from helpers import baseline, researcher
 
 
 def brute_force_pooled(groups):
@@ -126,6 +118,11 @@ def test_band_nesting(grand, sd, n):
 FIT = PooledFit(grand_mean=1.0, pooled_sd=0.8, total_n=200, group_count=20)
 
 
+def _bands(fit, n):
+    """The inner (z = 2) and outer (z = 3) bands at size n."""
+    return confidence_bands(fit, n, 2.0), confidence_bands(fit, n, 3.0)
+
+
 @pytest.mark.parametrize(
     "offset_in_sd_units, expected",
     [
@@ -140,13 +137,21 @@ FIT = PooledFit(grand_mean=1.0, pooled_sd=0.8, total_n=200, group_count=20)
 def test_classification_thresholds(offset_in_sd_units, expected):
     n = 16
     mean = FIT.grand_mean + offset_in_sd_units * FIT.pooled_sd / math.sqrt(n)
-    assert classify_institution(mean, FIT, n, 2.0, 3.0) is expected
+    assert classify_institution(mean, *_bands(FIT, n)) is expected
 
 
 def test_classification_boundary_counts_as_within():
     n = 9
     upper = FIT.grand_mean + 2.0 * FIT.pooled_sd / math.sqrt(n)
-    assert classify_institution(upper, FIT, n, 2.0, 3.0) is Classification.WITHIN
+    assert classify_institution(upper, *_bands(FIT, n)) is Classification.WITHIN
+
+
+def test_classification_needs_the_inner_band_inside_the_outer():
+    inner, outer = _bands(FIT, 9)
+    with pytest.raises(ValueError, match="inner_z must be smaller"):
+        classify_institution(FIT.grand_mean, outer, inner)
+    with pytest.raises(ValueError, match="inner_z must be smaller"):
+        classify_institution(FIT.grand_mean, inner, inner)
 
 
 def test_classification_matches_raw_band_arithmetic():
@@ -155,7 +160,7 @@ def test_classification_matches_raw_band_arithmetic():
         fit = PooledFit(rng.normal(), rng.uniform(0.01, 2), 500, 40)
         n = int(rng.integers(1, 80))
         mean = rng.normal(fit.grand_mean, 3 * fit.pooled_sd)
-        label = classify_institution(mean, fit, n, 2.0, 3.0)
+        label = classify_institution(mean, *_bands(fit, n))
         half2 = 2.0 * fit.pooled_sd / math.sqrt(n)
         half3 = 3.0 * fit.pooled_sd / math.sqrt(n)
         if mean > fit.grand_mean + half3:
@@ -266,25 +271,11 @@ def test_size_slope_degenerate():
 # ---------------------------------------------------------------------------
 
 
-def _population_and_scores(fss_by_institution, min_faculty=1):
-    records, scores = [], []
-    serial = 0
-    for inst, values in fss_by_institution.items():
-        for value in values:
-            serial += 1
-            rid = f"r{serial:03d}"
-            records.append(researcher(rid, inst=inst, years=5))
-            scores.append(ResearcherScore(rid, float(value), 1.0, 5, 1))
-    config = AssessmentConfig(min_faculty=min_faculty)
-    dataset = validate_dataset(records, [], baseline(), config)
-    return apply_exclusions(dataset, config), scores, config
+CONFIG = AssessmentConfig(min_faculty=1)
 
 
 def test_report_single_institution_is_trivially_within():
-    population, scores, config = _population_and_scores(
-        {"A": [0.1, 0.4, 0.9, 0.2]}
-    )
-    report = build_funnel_report(population, scores, config)
+    report = build_funnel_report({"A": [0.1, 0.4, 0.9, 0.2]}, CONFIG)
     (summary,) = report.summaries
     assert summary.classification is Classification.WITHIN
     assert summary.mean_transformed == pytest.approx(report.fit.grand_mean, abs=1e-12)
@@ -294,19 +285,32 @@ def test_report_single_institution_is_trivially_within():
 
 
 def test_report_single_member_fails():
-    population, scores, config = _population_and_scores({"A": [0.3]})
     with pytest.raises((InsufficientDegreesOfFreedom, DegenerateSample)):
-        build_funnel_report(population, scores, config)
+        build_funnel_report({"A": [0.3]}, CONFIG)
 
 
 def test_report_zero_pooled_sd_fails():
     # Constant inside every institution, different between them: the bands
     # would have zero width and every institution would be labelled *_outer.
-    population, scores, config = _population_and_scores(
-        {"a": [0.1] * 3, "b": [0.5] * 2, "c": [1.0] * 4}
-    )
     with pytest.raises(DegenerateSample, match="pooled SD is 0"):
-        build_funnel_report(population, scores, config)
+        build_funnel_report({"a": [0.1] * 3, "b": [0.5] * 2, "c": [1.0] * 4}, CONFIG)
+
+
+@pytest.mark.parametrize("skewness_target", list(SkewnessTarget))
+@pytest.mark.parametrize(
+    "bad, reason",
+    [([0.2, math.nan], "nan"), ([math.inf, 0.2], "inf"), ([0.2, -0.5], "-0.5"), ([], "no values")],
+    ids=["nan", "inf", "negative", "empty"],
+)
+def test_report_rejects_values_that_are_not_finite_and_non_negative(
+    skewness_target, bad, reason
+):
+    # Checked before any solve: a NaN or inf would give a nan fit with every
+    # institution labelled within, and a negative value would reach np.log.
+    data = {"A": [0.1, 0.4, 0.9], "B": [0.2, 0.3, 0.05], "C": bad, "D": [0.5, 0.7, 0.0]}
+    config = AssessmentConfig(min_faculty=1, skewness_target=skewness_target)
+    with pytest.raises(ValueError, match=f"institution 'C'.*{reason}"):
+        build_funnel_report(data, config)
 
 
 def test_report_orders_institutions_and_is_deterministic():
@@ -315,11 +319,10 @@ def test_report_orders_institutions_and_is_deterministic():
         inst: list(rng.lognormal(-1.5, 0.8, size=rng.integers(5, 15)))
         for inst in ("zeta", "alpha", "mid")
     }
-    population, scores, config = _population_and_scores(data)
-    report = build_funnel_report(population, scores, config)
+    report = build_funnel_report(data, CONFIG)
     ids = [s.institution_id for s in report.summaries]
     assert ids == sorted(ids)
-    again = build_funnel_report(population, scores, config)
+    again = build_funnel_report(data, CONFIG)
     assert again == report
 
 
@@ -329,7 +332,6 @@ def test_report_exposes_both_scales_and_consistent_summaries(monkeypatch):
         f"u{j:02d}": list(rng.lognormal(-1.5, 0.8, size=rng.integers(5, 40)))
         for j in range(12)
     }
-    population, scores, config = _population_and_scores(data)
     built = []
     bands = funnel.confidence_bands
 
@@ -338,7 +340,7 @@ def test_report_exposes_both_scales_and_consistent_summaries(monkeypatch):
         return bands(fit, n, level_z)
 
     monkeypatch.setattr(funnel, "confidence_bands", counted)
-    report = build_funnel_report(population, scores, config)
+    report = build_funnel_report(data, CONFIG)
     # Institutions of one size share its inner and outer band.
     sizes = {summary.size for summary in report.summaries}
     assert len(sizes) < len(report.summaries)
@@ -355,7 +357,7 @@ def test_report_exposes_both_scales_and_consistent_summaries(monkeypatch):
         )
         assert summary.mean_transformed == pytest.approx(expected_mean_t, rel=1e-12)
         assert summary.classification is classify_institution(
-            summary.mean_transformed, report.fit, summary.size, 2.0, 3.0
+            summary.mean_transformed, *_bands(report.fit, summary.size)
         )
         assert summary.inner_band.upper <= summary.outer_band.upper
     assert len(report.adjusted_means) == len(report.summaries)
@@ -369,9 +371,8 @@ def test_report_means_level_skewness_target():
     data = {
         f"u{j:02d}": list(rng.lognormal(-1.5, 0.8, size=20)) for j in range(10)
     }
-    population, scores, _ = _population_and_scores(data)
     config = AssessmentConfig(min_faculty=1, skewness_target="institution_means")
-    report = build_funnel_report(population, scores, config)
+    report = build_funnel_report(data, config)
     assert report.transform.converged
     group_means = [
         float(np.log(np.asarray(values) + report.transform.delta).mean())
@@ -436,13 +437,10 @@ def test_report_equals_one_institution_at_a_time(
     for size in rest:
         values = rng.lognormal(-1.5, 0.9, size=size)
         groups.append(list(np.where(rng.random(size) < 0.2, 0.0, values)))
-    population, scores, _ = _population_and_scores(
-        {f"u{j:02d}": values for j, values in enumerate(groups)}
-    )
     config = AssessmentConfig(
         min_faculty=1, skewness_target=skewness_target, grand_mean_mode=grand_mean_mode
     )
-    report = build_funnel_report(population, scores, config)
+    report = build_funnel_report({f"u{j:02d}": values for j, values in enumerate(groups)}, config)
     spec, fit, adjusted, means = _funnel_one_institution_at_a_time(groups, config)
     assert report.transform == spec
     assert report.fit == fit
@@ -458,7 +456,7 @@ def test_coverage_calibration_quick():
     groups = [(f"g{j}", rng.normal(0.0, 1.0, size=n)) for j, n in enumerate(sizes)]
     fit = fit_pooled([(g, list(v)) for g, v in groups])
     outside = sum(
-        classify_institution(float(np.mean(v)), fit, len(v), 2.0, 3.0)
+        classify_institution(float(np.mean(v)), *_bands(fit, len(v)))
         is not Classification.WITHIN
         for _, v in groups
     )

@@ -5,21 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fssfunnel import indicator
-from fssfunnel.errors import EmptyAuthorList, MissingBaseline, MissingScore, ZeroYearsActive
+from fssfunnel.errors import EmptyAuthorList, MissingBaseline, ZeroYearsActive
 from fssfunnel.funnel import build_funnel_report
-from fssfunnel.indicator import (
-    ResearcherScore,
-    fractional_weights,
-    normalized_impact,
-    researcher_fss,
-)
-from fssfunnel.model import (
-    AssessmentConfig,
-    Rank,
-    WeightingScheme,
-    apply_exclusions,
-    validate_dataset,
-)
+from fssfunnel.indicator import fractional_weights, normalized_impact, researcher_fss
+from fssfunnel.model import AssessmentConfig, Rank, WeightingScheme
 from helpers import baseline, byline, publication, researcher
 
 affiliations = st.lists(
@@ -327,29 +316,14 @@ def test_long_byline_builds_weights_once_per_distinct_key(monkeypatch):
     assert indicator._weights_for.cache_info().misses == 4
 
 
-# Institution means are taken by build_funnel_report from these scores.
+# Institution means are taken by build_funnel_report from these values.
 CONFIG_ALL_SIZES = AssessmentConfig(min_faculty=1)
-
-
-def _population(members_by_institution):
-    recs = [
-        researcher(rid, inst=inst, years=5)
-        for inst, rids in members_by_institution.items()
-        for rid in rids
-    ]
-    dataset = validate_dataset(recs, [], baseline(), CONFIG_ALL_SIZES)
-    return apply_exclusions(dataset, CONFIG_ALL_SIZES)
-
-
-def _score(rid, fss):
-    return ResearcherScore(rid, fss, 1.0, 5, 1)
 
 
 def _summaries(table):
     """Institution summaries for {institution: {researcher id: fss}}."""
-    population = _population({inst: list(vals) for inst, vals in table.items()})
-    scores = [_score(rid, fss) for vals in table.values() for rid, fss in vals.items()]
-    report = build_funnel_report(population, scores, CONFIG_ALL_SIZES)
+    values = {inst: list(vals.values()) for inst, vals in table.items()}
+    report = build_funnel_report(values, CONFIG_ALL_SIZES)
     return {summary.institution_id: summary for summary in report.summaries}
 
 
@@ -388,17 +362,3 @@ def test_institution_means_match_independent_recomputation():
     conservation = sum(s.size * s.mean_original for s in summaries.values())
     total = sum(fss for vals in table.values() for fss in vals.values())
     assert math.isclose(conservation, total, abs_tol=1e-9)
-
-
-def test_institution_means_missing_score():
-    population = _population({"A": ["r1", "r2"]})
-    with pytest.raises(MissingScore):
-        build_funnel_report(population, [_score("r1", 0.1)], CONFIG_ALL_SIZES)
-
-
-def test_institution_means_duplicate_score_rejected():
-    population = _population({"A": ["r1"]})
-    with pytest.raises(ValueError):
-        build_funnel_report(
-            population, [_score("r1", 0.1), _score("r1", 0.2)], CONFIG_ALL_SIZES
-        )

@@ -35,7 +35,7 @@ CONFIG = AssessmentConfig()
 def test_validate_empty_dataset():
     dataset = validate_dataset([], [], CitationBaseline({}), CONFIG)
     assert dataset.researchers == ()
-    assert dataset.publications == ()
+    assert dataset.publications_for("r1") == ()
 
 
 def test_validate_minimal_dataset():
@@ -43,7 +43,6 @@ def test_validate_minimal_dataset():
     pubs = [publication("p1", 7, byline("u01", researcher_ids=["r1"]))]
     dataset = validate_dataset(recs, pubs, baseline({(2008, "Biochemistry"): 4.2}), CONFIG)
     assert len(dataset.researchers) == 1
-    assert len(dataset.publications) == 1
     assert dataset.publications_for("r1") == (pubs[0],)
 
 
@@ -52,20 +51,22 @@ def test_validate_minimal_dataset():
     max_size=12,
 ))
 @settings(deadline=None)
-def test_publications_for_lists_each_researchers_bylines_in_input_order(bylines):
+def test_publications_for_lists_each_researchers_bylines_in_publication_id_order(bylines):
     pubs = []
     for n, ids in enumerate(bylines):
         # Keep each researcher's first slot only; validation rejects repeats.
         ids = [rid if rid not in ids[:i] else None for i, rid in enumerate(ids)]
         year = 2008 if n % 3 else 2020  # the index ignores the period
         authors = byline(*["u01"] * len(ids), researcher_ids=ids)
-        pubs.append(publication(f"p{n}", n, authors, year=year))
+        # Ids out of input order: 5 and 12 are coprime, so they stay distinct.
+        pubs.append(publication(f"p{5 * n % 12:02d}", n, authors, year=year))
     recs = [researcher(rid) for rid in ("r1", "r2", "r3", "r4", "r5")]
     dataset = validate_dataset(recs, pubs, baseline(), CONFIG)
     for rec in recs:
-        expected = tuple(
-            p for p in pubs if rec.researcher_id in [s.researcher_id for s in p.authors]
-        )
+        expected = tuple(sorted(
+            (p for p in pubs if rec.researcher_id in [s.researcher_id for s in p.authors]),
+            key=lambda p: p.publication_id,
+        ))
         assert dataset.publications_for(rec.researcher_id) == expected
     assert dataset.publications_for("r5") == ()
 
@@ -104,7 +105,7 @@ def test_validate_publication_outside_the_period_needs_no_baseline():
     recs = [researcher("r1")]
     old = publication("p0", 500, byline("u01", researcher_ids=["r1"]), year=1990)
     dataset = validate_dataset(recs, [old], baseline(), CONFIG)
-    assert dataset.publications == (old,)
+    assert dataset.publications_for("r1") == (old,)
     # Its byline is still checked.
     bad = publication("p0", 5, byline("u01", researcher_ids=["ghost"]), year=2013)
     with pytest.raises(ValidationErrors) as exc:
@@ -187,7 +188,7 @@ def test_validate_does_not_mutate_inputs():
     dataset = validate_dataset(recs, pubs, baseline(), CONFIG)
     assert recs == recs_copy and pubs == pubs_copy
     assert dataset.researchers == tuple(recs_copy)
-    assert dataset.publications == tuple(pubs_copy)
+    assert dataset.publications_for("r1") == tuple(pubs_copy)
 
 
 def _population_of(researchers, config=CONFIG):
@@ -230,6 +231,20 @@ def test_exclusions_idempotent():
     assert second.institutions == first.institutions
 
 
+def test_exclusions_group_each_institution_in_id_order():
+    recs = [researcher(rid, inst=inst, years=5) for rid, inst in [
+        ("r9", "u02"), ("r3", "u01"), ("r7", "u02"), ("r1", "u01"), ("r5", "u03"),
+    ]]
+    population = _population_of(recs, AssessmentConfig(min_faculty=2))
+    assert {inst: [r.researcher_id for r in members]
+            for inst, members in population.institutions.items()} == {
+        "u01": ["r1", "r3"], "u02": ["r7", "r9"],
+    }
+    assert list(population.institutions) == ["u01", "u02"]
+    assert [r.researcher_id for r in population.researchers] == ["r1", "r3", "r7", "r9"]
+    assert (population.dropped_researchers, population.dropped_institutions) == (0, 1)
+
+
 def test_exclusions_postconditions():
     recs = [researcher(f"r{i}", years=i % 6) for i in range(30)]
     recs += [researcher(f"s{i}", inst="u02", years=4) for i in range(7)]
@@ -267,6 +282,13 @@ def test_researcher_record_rejects_blank_ids(rid, inst):
         researcher(rid, inst=inst)
 
 
+@pytest.mark.parametrize("inst", ["", " "])
+def test_author_slot_rejects_a_blank_institution(inst):
+    # Two blank ends would otherwise compare equal and score as intramural.
+    with pytest.raises(ValueError, match="blank"):
+        AuthorSlot(1, None, inst)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -286,6 +308,7 @@ def test_researcher_record_rejects_blank_ids(rid, inst):
         {"band_z_levels": (2.0, math.inf)},
         {"delta_bracket": (1e-9, math.inf)},
         {"skewness_tolerance": math.nan},
+        {"band_z_levels": (1.0, 2.0, 3.0)},
     ],
 )
 def test_config_invariants(kwargs):
