@@ -7,18 +7,15 @@ from .errors import (
     DegenerateSample,
     DuplicatePublicationId,
     DuplicateResearcherId,
-    EmptyAuthorList,
     EmptyPopulation,
     EmptyReport,
     InsufficientDegreesOfFreedom,
     IoError,
     MalformedAuthorList,
     MissingBaseline,
-    NonPositiveShift,
     ParseError,
     UnknownResearcherRef,
     ValidationErrors,
-    ZeroYearsActive,
 )
 from .funnel import (
     BandPoint,
@@ -35,12 +32,7 @@ from .funnel import (
     qq_points,
     size_slope,
 )
-from .indicator import (
-    ResearcherScore,
-    fractional_weights,
-    normalized_impact,
-    researcher_fss,
-)
+from .indicator import fractional_weights, researcher_fss
 from .model import (
     AssessablePopulation,
     AssessmentConfig,
@@ -51,7 +43,6 @@ from .model import (
     Rank,
     ResearcherRecord,
     SkewnessTarget,
-    ValidatedDataset,
     WeightingScheme,
     apply_exclusions,
     validate_dataset,

@@ -145,8 +145,10 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
     shared: dict[str, str] = {}
     for line, row in _read_rows(path, RESEARCHER_HEADER):
         rid, inst, field_code, rank_text, years_text = row
-        if not rid.strip() or not inst.strip():
-            column = "institution_id" if rid.strip() else "researcher_id"
+        # Stripped as the ids in a byline slot are, so the two still match.
+        rid, inst = rid.strip(), inst.strip()
+        if not rid or not inst:
+            column = "institution_id" if rid else "researcher_id"
             raise ParseError(path, line, column, "must not be blank")
         if rid in seen:
             raise ParseError(
@@ -547,11 +549,11 @@ def _read_and_score(
     publications = read_publications_csv(args.publications)
     baselines = read_baselines_csv(args.baselines)
     config = parse_config_file(args.config) if args.config else AssessmentConfig()
-    dataset = validate_dataset(researchers, publications, baselines, config)
-    population = apply_exclusions(dataset, config)
+    index = validate_dataset(researchers, publications, baselines, config)
+    population = apply_exclusions(researchers, config)
     values = {
         inst: [
-            researcher_fss(r, dataset.publications_for(r.researcher_id), baselines, config).fss
+            researcher_fss(r, index.get(r.researcher_id, ()), baselines, config)
             for r in members
         ]
         for inst, members in population.institutions.items()

@@ -75,27 +75,8 @@ class EmptyPopulation(AssessmentError):
     """Every institution was excluded; the assessment cannot proceed."""
 
 
-class EmptyAuthorList(AssessmentError):
-    pass
-
-
-class ZeroYearsActive(AssessmentError):
-    def __init__(self, researcher_id: str):
-        self.researcher_id = researcher_id
-        super().__init__(
-            f"researcher {researcher_id!r} has zero years active; "
-            "should have been excluded upstream"
-        )
-
-
 class DegenerateSample(AssessmentError):
     """Too few values, or no variation, for the requested statistic."""
-
-
-class NonPositiveShift(AssessmentError):
-    def __init__(self, delta: float):
-        self.delta = delta
-        super().__init__(f"log shift requires delta > 0, got {delta}")
 
 
 class InsufficientDegreesOfFreedom(AssessmentError):

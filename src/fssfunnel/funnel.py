@@ -69,7 +69,6 @@ class FunnelReport:
     fit: PooledFit
     transform: TransformSpec
     summaries: tuple[InstitutionSummary, ...]
-    adjusted_means: tuple[float, ...]
     qq_points: tuple[tuple[float, float], ...] | None
     size_slope: tuple[float, float] | None
     rankings: dict[str, int]
@@ -255,9 +254,8 @@ def build_funnel_report(
             )
         )
 
-    adjusted = adjusted_means(transformed_groups, fit)
     try:
-        qq = tuple(qq_points(adjusted))
+        qq = tuple(qq_points(adjusted_means(transformed_groups, fit)))
     except DegenerateSample:
         qq = None
     try:
@@ -269,7 +267,6 @@ def build_funnel_report(
         fit=fit,
         transform=spec,
         summaries=tuple(summaries),
-        adjusted_means=tuple(adjusted),
         qq_points=qq,
         size_slope=slope,
         rankings=performance_ranks(summaries),

@@ -8,10 +8,8 @@ active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EmptyAuthorList, ZeroYearsActive
 from .model import (
     AssessmentConfig,
     AuthorSlot,
@@ -29,15 +27,6 @@ _INTRA_MIDDLE_POOL = 0.20
 _EXTRA_END = 0.30
 _EXTRA_NEAR = 0.15
 _EXTRA_OTHER_POOL = 0.10
-
-
-@dataclass(frozen=True, slots=True)
-class ResearcherScore:
-    researcher_id: str
-    fss: float
-    salary_coefficient: float
-    years_active: int
-    publication_count: int
 
 
 def fractional_weights(
@@ -58,7 +47,7 @@ def fractional_weights(
     """
     count = len(authors)
     if count == 0:
-        raise EmptyAuthorList("a publication needs at least one author")
+        raise ValueError("a publication needs at least one author")
     intramural = authors[0].institution_id == authors[-1].institution_id
     return _weights_for(count, intramural, scheme)
 
@@ -105,40 +94,31 @@ def _positional_weights(count: int, intramural: bool) -> list[float]:
     return weights
 
 
-def normalized_impact(
-    publication: PublicationRecord, baselines: CitationBaseline
-) -> float:
-    """Citations divided by the (year, subject category) baseline mean."""
-    return publication.citations / baselines.lookup(
-        publication.year, publication.subject_category
-    )
-
-
 def researcher_fss(
     researcher: ResearcherRecord,
     publications: tuple[PublicationRecord, ...] | list[PublicationRecord],
     baselines: CitationBaseline,
     config: AssessmentConfig,
-) -> ResearcherScore:
+) -> float:
     """Score one researcher over their authored publications.
 
     ``publications`` must already be restricted to this researcher's authored
-    set; each one dated inside the observation period contributes normalized
-    impact times this researcher's fractional weight, and the sum is divided
-    by salary coefficient and years active. Publications outside the period
-    are skipped and not counted.
+    set; each one dated inside the observation period contributes its
+    citations over the (year, subject category) baseline mean, times this
+    researcher's fractional weight, and the sum is divided by salary
+    coefficient and years active. Publications outside the period are skipped.
     """
     if researcher.years_active < 1:
-        raise ZeroYearsActive(researcher.researcher_id)
-    salary = config.salary_coefficients[researcher.rank]
+        raise ValueError(
+            f"researcher {researcher.researcher_id!r} has zero years active; "
+            "should have been excluded upstream"
+        )
     start, end = config.period_start, config.period_end
 
     total = 0.0
-    count = 0
     for pub in publications:
         if not start <= pub.year <= end:
             continue
-        count += 1
         weights = fractional_weights(pub.authors, config.weighting_scheme)
         try:
             index = pub.first_slots[researcher.researcher_id]
@@ -147,12 +127,5 @@ def researcher_fss(
                 f"publication {pub.publication_id!r} is not authored by "
                 f"{researcher.researcher_id!r}"
             ) from None
-        total += normalized_impact(pub, baselines) * weights[index]
-    fss = total / salary / researcher.years_active
-    return ResearcherScore(
-        researcher_id=researcher.researcher_id,
-        fss=fss,
-        salary_coefficient=salary,
-        years_active=researcher.years_active,
-        publication_count=count,
-    )
+        total += pub.citations / baselines.lookup(pub.year, pub.subject_category) * weights[index]
+    return total / config.salary_coefficients[researcher.rank] / researcher.years_active

@@ -67,6 +67,9 @@ class ResearcherRecord:
             raise ValueError(f"years_active must be >= 0, got {self.years_active}")
         if not self.researcher_id.strip() or not self.institution_id.strip():
             raise ValueError("researcher_id and institution_id must not be blank")
+        # As AssessmentConfig coerces its Enum fields: a member passes, a
+        # value maps to its member and anything else raises ValueError.
+        object.__setattr__(self, "rank", Rank(self.rank))
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,18 +229,6 @@ class AssessmentConfig:
 
 
 @dataclass
-class ValidatedDataset:
-    """Built by :func:`validate_dataset`, which also indexes each researcher's
-    publications in publication-id order."""
-
-    researchers: tuple[ResearcherRecord, ...]
-    _by_researcher: dict[str, tuple[PublicationRecord, ...]] = field(repr=False)
-
-    def publications_for(self, researcher_id: str) -> tuple[PublicationRecord, ...]:
-        return self._by_researcher.get(researcher_id, ())
-
-
-@dataclass
 class AssessablePopulation:
     """Researchers kept after the exclusion rules: institution id -> its
     members, institutions in id order and members in researcher-id order."""
@@ -245,11 +236,6 @@ class AssessablePopulation:
     institutions: dict[str, tuple[ResearcherRecord, ...]]
     dropped_researchers: int
     dropped_institutions: int
-
-    @property
-    def researchers(self) -> tuple[ResearcherRecord, ...]:
-        """Every kept researcher, institution by institution."""
-        return tuple(rec for members in self.institutions.values() for rec in members)
 
 
 _PUBLICATION_ID = attrgetter("publication_id")
@@ -261,15 +247,16 @@ def validate_dataset(
     publications: list[PublicationRecord],
     baselines: CitationBaseline,
     config: AssessmentConfig,
-) -> ValidatedDataset:
+) -> dict[str, tuple[PublicationRecord, ...]]:
     """Check cross-record consistency and collect every violation found.
 
     Also checks every researcher's ``years_active`` against the length of the
     configured observation period. A publication dated outside that period
     gets its byline checks but needs no baseline, because it is never
-    scored. Raises :class:`ValidationErrors` carrying
-    all problems, period violations first; on success returns the
-    researchers and the index. Inputs are never mutated.
+    scored. Raises :class:`ValidationErrors` carrying all problems, period
+    violations first; on success returns the index from researcher id to
+    the publications that list it, in publication-id order. A researcher
+    with no publications is not a key. Inputs are never mutated.
     """
     errors: list[DataViolation] = [
         YearsOutOfRange(r.researcher_id, r.years_active, config.period_length)
@@ -303,10 +290,9 @@ def validate_dataset(
         raise ValidationErrors(errors)
     # Publication-id order makes each FSS sum independent of row order; a
     # tuple drops the spare capacity a list would keep through scoring.
-    index = {
+    return {
         rid: tuple(sorted(pubs, key=_PUBLICATION_ID)) for rid, pubs in by_researcher.items()
     }
-    return ValidatedDataset(tuple(researchers), index)
 
 
 def _repeated(ids) -> list[str]:
@@ -353,17 +339,17 @@ def _author_list_violations(
     return errors
 
 
-def apply_exclusions(dataset, config: AssessmentConfig) -> AssessablePopulation:
+def apply_exclusions(
+    researchers: list[ResearcherRecord], config: AssessmentConfig
+) -> AssessablePopulation:
     """Drop short-tenure researchers, then undersized institutions, in that order.
 
     The one place researchers are grouped by institution; sorting each group
     by researcher id makes the funnel's sums independent of row order.
-    Accepts anything exposing a ``researchers`` sequence, so applying it to its
-    own output is a no-op on membership (idempotence).
     """
     groups: dict[str, list[ResearcherRecord]] = {}
     dropped_researchers = 0
-    for rec in dataset.researchers:
+    for rec in researchers:
         if rec.years_active >= config.min_years_active:
             groups.setdefault(rec.institution_id, []).append(rec)
         else:

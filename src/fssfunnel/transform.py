@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateSample, NonPositiveShift
+from .errors import DegenerateSample
 
 BRACKET_CAP = 1e6
 MAX_ITERATIONS = 200
@@ -50,11 +50,11 @@ def sample_skewness(values) -> float:
 def log_shift_transform(values, delta: float) -> list[float]:
     """Elementwise ln(value + delta); strictly monotone, defined at zero."""
     if delta <= 0:
-        raise NonPositiveShift(delta)
+        raise ValueError(f"log shift requires delta > 0, got {delta}")
     arr = np.asarray(values, dtype=float)
     if arr.size and arr.min() < 0:
         raise ValueError("log shift expects non-negative values")
-    return [float(v) for v in np.log(arr + delta)]
+    return np.log(arr + delta).tolist()
 
 
 def zero_skewness_delta(

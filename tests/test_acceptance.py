@@ -185,7 +185,7 @@ def test_criterion_02_fss_oracle_equivalence(capsys):
                     pub for pub in publications
                     if any(s.researcher_id == rec.researcher_id for s in pub.authors)
                 ]
-                observed = researcher_fss(rec, authored, baselines, config).fss
+                observed = researcher_fss(rec, authored, baselines, config)
                 expected = oracle_fss(
                     rec, authored, baseline_map, config.salary_coefficients
                 )

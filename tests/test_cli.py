@@ -21,7 +21,7 @@ from fssfunnel.cli import (
     read_publications_csv,
     read_researchers_csv,
 )
-from fssfunnel.errors import ParseError
+from fssfunnel.errors import ParseError, ValidationErrors
 from fssfunnel.funnel import (
     BandPoint,
     Classification,
@@ -33,10 +33,12 @@ from fssfunnel.funnel import (
 from fssfunnel.model import (
     AssessmentConfig,
     AuthorSlot,
+    CitationBaseline,
     PublicationRecord,
     Rank,
-    ValidatedDataset,
+    ResearcherRecord,
     WeightingScheme,
+    validate_dataset,
 )
 from fssfunnel.transform import TransformSpec
 from helpers import make_report
@@ -103,16 +105,16 @@ def expected_institution_means():
     return {inst: sum(values) / len(values) for inst, values in fss.items()}
 
 
-def write_fixture(directory):
+def write_fixture(directory, researcher_rows=RESEARCHERS, publication_rows=PUBLICATIONS):
     researchers = ["researcher_id,institution_id,field_code,rank,years_active"]
     researchers += [
         f"{rid},{inst},Biochemistry,{rank},{years}"
-        for rid, inst, rank, years in RESEARCHERS
+        for rid, inst, rank, years in researcher_rows
     ]
     publications = ["publication_id,year,subject_category,citations,authors"]
     publications += [
         f"{pid},{year},Biochemistry,{cites},{authors}"
-        for pid, year, cites, authors in PUBLICATIONS
+        for pid, year, cites, authors in publication_rows
     ]
     baselines = ["year,subject_category,mean_citations"]
     baselines += [f"{year},Biochemistry,{mean}" for year, mean in BASELINE.items()]
@@ -215,6 +217,57 @@ def test_byte_order_mark_is_accepted(tmp_path):
     assert main(assess_args(paths, marked, extra)) == 0
     for name in ("report.json", "funnel.svg", "qq.svg", "caterpillar.svg"):
         assert (marked / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_padded_ids_match_as_unpadded(tmp_path):
+    # Spreadsheet exports often pad cells: researcher and institution ids
+    # match whether they are padded in researchers.csv, in a byline or in both.
+    plain, padded = tmp_path / "plain", tmp_path / "padded"
+    plain.mkdir(), padded.mkdir()
+    assert main(assess_args(write_fixture(plain), plain, ["--quiet"])) == 0
+    researchers = [(f" {rid} ", f"{inst}  ", *rest) for rid, inst, *rest in RESEARCHERS]
+    publications = [(*row, cell.replace(":", " : ")) for *row, cell in PUBLICATIONS]
+    paths = write_fixture(padded, researchers, publications)
+    assert "1 : a1 : A;2 : a2 : A" in (padded / "publications.csv").read_text()
+    assert main(assess_args(paths, padded, ["--quiet"])) == 0
+    for name in ("report.json", "funnel.svg", "qq.svg", "caterpillar.svg"):
+        assert (padded / name).read_bytes() == (plain / name).read_bytes()
+
+
+# Every check validation makes, but a duplicate researcher id, which the
+# reader rejects first.
+DEFECTIVE_RESEARCHERS = RESEARCHERS + [("zz", "B", "Full", 9)]  # 9 > 5 years
+DEFECTIVE_PUBLICATIONS = PUBLICATIONS + [
+    ("q20", 2008, 3, "1:a1:A;2:ghost:A"),  # unknown researcher
+    ("q21", 2009, 3, "1:a2:A;3:-:X"),  # positions skip 2
+    ("q22", 2008, 3, "1:b1:B;2:-:X;3:b1:B"),  # repeated author
+    ("q23", 2011, 3, "1:c1:C"),  # no 2011 baseline
+    ("q03", 2008, 4, "1:c2:C"),  # repeated publication id
+]
+
+
+def test_cli_and_library_report_the_same_violations_in_order(tmp_path, capsys):
+    paths = write_fixture(tmp_path, DEFECTIVE_RESEARCHERS, DEFECTIVE_PUBLICATIONS)
+    assert main(assess_args(paths, tmp_path)) == 1
+    printed = capsys.readouterr().err.splitlines()
+
+    researchers = [
+        ResearcherRecord(rid, inst, "Biochemistry", rank, years)
+        for rid, inst, rank, years in DEFECTIVE_RESEARCHERS
+    ]
+    publications = [
+        PublicationRecord(pid, year, "Biochemistry", cites, tuple(
+            AuthorSlot(int(position), None if rid == "-" else rid, inst)
+            for position, rid, inst in (slot.split(":") for slot in cell.split(";"))
+        ))
+        for pid, year, cites, cell in DEFECTIVE_PUBLICATIONS
+    ]
+    baselines = CitationBaseline({(year, "Biochemistry"): mean for year, mean in BASELINE.items()})
+    with pytest.raises(ValidationErrors) as exc:
+        validate_dataset(researchers, publications, baselines, AssessmentConfig())
+
+    assert len(exc.value.errors) == 6
+    assert printed == [f"error: {violation}" for violation in exc.value.errors]
 
 
 def test_missing_baselines_file_is_io_error(tmp_path, capsys):
@@ -526,9 +579,7 @@ def test_paused_collector_leaves_cycles_independent_of_input_size(tmp_path):
 
 def test_input_records_are_freed_before_the_report_is_built(tmp_path, monkeypatch):
     def alive() -> int:
-        return sum(
-            isinstance(obj, (PublicationRecord, ValidatedDataset)) for obj in gc.get_objects()
-        )
+        return sum(isinstance(obj, PublicationRecord) for obj in gc.get_objects())
 
     build = fssfunnel.cli.build_funnel_report
     seen = []
@@ -843,7 +894,6 @@ def one_institution_report(institution_id, value):
         fit=PooledFit(value, 1.0, 3, 1),
         transform=TransformSpec(1.0, value, (1e-9, 10.0), True),
         summaries=(summary,),
-        adjusted_means=(value,),
         qq_points=((value, value),),
         size_slope=(value, value),
         rankings={institution_id: 1},
@@ -889,7 +939,6 @@ def reports(draw):
             pairs, st.booleans(),
         )),
         summaries=tuple(rows),
-        adjusted_means=(),
         qq_points=draw(st.none() | st.lists(pairs, max_size=4).map(tuple)),
         size_slope=draw(st.none() | pairs),
         rankings={s.institution_id: rank for s, rank in zip(rows, ranks)},

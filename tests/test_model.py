@@ -15,7 +15,7 @@ from fssfunnel.errors import (
     ValidationErrors,
     YearsOutOfRange,
 )
-from fssfunnel.indicator import ResearcherScore
+from fssfunnel.indicator import researcher_fss
 from fssfunnel.model import (
     DEFAULT_SALARY_COEFFICIENTS,
     AssessmentConfig,
@@ -33,17 +33,14 @@ CONFIG = AssessmentConfig()
 
 
 def test_validate_empty_dataset():
-    dataset = validate_dataset([], [], CitationBaseline({}), CONFIG)
-    assert dataset.researchers == ()
-    assert dataset.publications_for("r1") == ()
+    assert validate_dataset([], [], CitationBaseline({}), CONFIG) == {}
 
 
 def test_validate_minimal_dataset():
     recs = [researcher("r1")]
     pubs = [publication("p1", 7, byline("u01", researcher_ids=["r1"]))]
-    dataset = validate_dataset(recs, pubs, baseline({(2008, "Biochemistry"): 4.2}), CONFIG)
-    assert len(dataset.researchers) == 1
-    assert dataset.publications_for("r1") == (pubs[0],)
+    index = validate_dataset(recs, pubs, baseline({(2008, "Biochemistry"): 4.2}), CONFIG)
+    assert index == {"r1": (pubs[0],)}
 
 
 @given(st.lists(
@@ -51,7 +48,7 @@ def test_validate_minimal_dataset():
     max_size=12,
 ))
 @settings(deadline=None)
-def test_publications_for_lists_each_researchers_bylines_in_publication_id_order(bylines):
+def test_index_lists_each_researchers_bylines_in_publication_id_order(bylines):
     pubs = []
     for n, ids in enumerate(bylines):
         # Keep each researcher's first slot only; validation rejects repeats.
@@ -61,14 +58,15 @@ def test_publications_for_lists_each_researchers_bylines_in_publication_id_order
         # Ids out of input order: 5 and 12 are coprime, so they stay distinct.
         pubs.append(publication(f"p{5 * n % 12:02d}", n, authors, year=year))
     recs = [researcher(rid) for rid in ("r1", "r2", "r3", "r4", "r5")]
-    dataset = validate_dataset(recs, pubs, baseline(), CONFIG)
+    index = validate_dataset(recs, pubs, baseline(), CONFIG)
     for rec in recs:
         expected = tuple(sorted(
             (p for p in pubs if rec.researcher_id in [s.researcher_id for s in p.authors]),
             key=lambda p: p.publication_id,
         ))
-        assert dataset.publications_for(rec.researcher_id) == expected
-    assert dataset.publications_for("r5") == ()
+        assert index.get(rec.researcher_id, ()) == expected
+        assert (rec.researcher_id in index) == bool(expected)
+    assert "r5" not in index
 
 
 def test_validate_missing_baseline():
@@ -104,8 +102,7 @@ def test_validate_duplicate_publication_id():
 def test_validate_publication_outside_the_period_needs_no_baseline():
     recs = [researcher("r1")]
     old = publication("p0", 500, byline("u01", researcher_ids=["r1"]), year=1990)
-    dataset = validate_dataset(recs, [old], baseline(), CONFIG)
-    assert dataset.publications_for("r1") == (old,)
+    assert validate_dataset(recs, [old], baseline(), CONFIG) == {"r1": (old,)}
     # Its byline is still checked.
     bad = publication("p0", 5, byline("u01", researcher_ids=["ghost"]), year=2013)
     with pytest.raises(ValidationErrors) as exc:
@@ -178,28 +175,32 @@ def test_validate_years_active_beyond_period():
     assert (period.researcher_id, period.years_active, period.period_length) == ("r2", 6, 5)
     assert isinstance(missing, MissingBaseline)
     longer = AssessmentConfig(period_start=2007)
-    assert len(validate_dataset(recs, [], baseline(), longer).researchers) == 2
+    assert validate_dataset(recs, [], baseline(), longer) == {}
 
 
 def test_validate_does_not_mutate_inputs():
     recs = [researcher("r1")]
     pubs = [publication("p1", 2, byline("u01", researcher_ids=["r1"]))]
     recs_copy, pubs_copy = list(recs), list(pubs)
-    dataset = validate_dataset(recs, pubs, baseline(), CONFIG)
+    index = validate_dataset(recs, pubs, baseline(), CONFIG)
     assert recs == recs_copy and pubs == pubs_copy
-    assert dataset.researchers == tuple(recs_copy)
-    assert dataset.publications_for("r1") == tuple(pubs_copy)
+    assert index == {"r1": tuple(pubs_copy)}
 
 
 def _population_of(researchers, config=CONFIG):
-    dataset = validate_dataset(researchers, [], baseline(), config)
-    return apply_exclusions(dataset, config)
+    validate_dataset(researchers, [], baseline(), config)
+    return apply_exclusions(researchers, config)
+
+
+def _kept(population):
+    """Every kept researcher, institution by institution."""
+    return [rec for members in population.institutions.values() for rec in members]
 
 
 def test_exclusions_retain_full_institution():
     recs = [researcher(f"r{i}", years=5) for i in range(5)]
     population = _population_of(recs)
-    assert len(population.researchers) == 5
+    assert len(_kept(population)) == 5
     assert population.dropped_researchers == 0
     assert population.dropped_institutions == 0
 
@@ -212,7 +213,7 @@ def test_exclusions_apply_researcher_filter_before_institution_filter():
     population = _population_of(recs)
     assert population.dropped_researchers == 2
     assert population.dropped_institutions == 1
-    assert {r.institution_id for r in population.researchers} == {"u02"}
+    assert {r.institution_id for r in _kept(population)} == {"u02"}
 
 
 def test_exclusions_empty_population():
@@ -226,8 +227,7 @@ def test_exclusions_idempotent():
     recs += [researcher(f"s{i}", inst="u02", years=2) for i in range(6)]
     config = AssessmentConfig()
     first = _population_of(recs, config)
-    second = apply_exclusions(first, config)
-    assert second.researchers == first.researchers
+    second = apply_exclusions(_kept(first), config)
     assert second.institutions == first.institutions
 
 
@@ -241,7 +241,7 @@ def test_exclusions_group_each_institution_in_id_order():
         "u01": ["r1", "r3"], "u02": ["r7", "r9"],
     }
     assert list(population.institutions) == ["u01", "u02"]
-    assert [r.researcher_id for r in population.researchers] == ["r1", "r3", "r7", "r9"]
+    assert [r.researcher_id for r in _kept(population)] == ["r1", "r3", "r7", "r9"]
     assert (population.dropped_researchers, population.dropped_institutions) == (0, 1)
 
 
@@ -250,8 +250,23 @@ def test_exclusions_postconditions():
     recs += [researcher(f"s{i}", inst="u02", years=4) for i in range(7)]
     config = AssessmentConfig(min_years_active=2, min_faculty=4)
     population = _population_of(recs, config)
-    assert all(r.years_active >= 2 for r in population.researchers)
+    assert all(r.years_active >= 2 for r in _kept(population))
     assert all(len(members) >= 4 for members in population.institutions.values())
+
+
+def test_researcher_record_takes_a_rank_by_its_value():
+    given_value = ResearcherRecord("r1", "u01", "Biochemistry", "Full", 3)
+    assert given_value.rank is Rank.FULL
+    assert given_value == researcher("r1", rank=Rank.FULL, years=3)
+    pub = publication("p1", 10, byline("u01", researcher_ids=["r1"]))
+    # (10 / 5) / 2.0 (full professor) / 3 years.
+    assert researcher_fss(given_value, [pub], baseline(), CONFIG) == 2.0 / 2.0 / 3
+
+
+@pytest.mark.parametrize("rank", ["bogus", "full", None])
+def test_researcher_record_rejects_an_unknown_rank(rank):
+    with pytest.raises(ValueError):
+        ResearcherRecord("r1", "u01", "Biochemistry", rank, 3)
 
 
 def test_researcher_record_rejects_negative_years():
@@ -347,7 +362,6 @@ def test_per_entity_records_have_no_instance_dict():
         researcher("r1"),
         AuthorSlot(1, "r1", "u01"),
         publication("p1", 3, byline("u01", researcher_ids=["r1"])),
-        ResearcherScore("r1", 0.5, 1.0, 4, 1),
         report.summaries[0],
     ]
     for record in records:

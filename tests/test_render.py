@@ -100,7 +100,6 @@ def test_funnel_empty_report_rejected():
         fit=report.fit,
         transform=report.transform,
         summaries=(),
-        adjusted_means=(),
         qq_points=None,
         size_slope=None,
         rankings={},
@@ -115,7 +114,6 @@ def _qq_report(adjusted):
         fit=PooledFit(0.0, 1.0, 100, 10),
         transform=TransformSpec(0.01, 0.0, (1e-9, 10.0), True),
         summaries=(),
-        adjusted_means=tuple(adjusted),
         qq_points=tuple(qq_points(adjusted)),
         size_slope=None,
         rankings={},
@@ -144,7 +142,6 @@ def test_qq_empty_rejected():
         fit=report.fit,
         transform=report.transform,
         summaries=report.summaries,
-        adjusted_means=(),
         qq_points=None,
         size_slope=None,
         rankings=report.rankings,

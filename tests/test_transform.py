@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fssfunnel.cli import draw_fss_sample
-from fssfunnel.errors import DegenerateSample, NonPositiveShift
+from fssfunnel.errors import DegenerateSample
 from fssfunnel.transform import (
     log_shift_transform,
     sample_skewness,
@@ -61,9 +61,9 @@ def test_log_shift_examples():
 
 
 def test_log_shift_rejects_non_positive_shift():
-    with pytest.raises(NonPositiveShift):
+    with pytest.raises(ValueError, match="delta > 0"):
         log_shift_transform([1.0], 0.0)
-    with pytest.raises(NonPositiveShift):
+    with pytest.raises(ValueError, match="delta > 0"):
         log_shift_transform([1.0], -0.2)
 
 
