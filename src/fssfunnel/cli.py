@@ -12,8 +12,8 @@ for authors outside the assessed population, e.g. ``1:r0001:u01;2:-:ext07``.
 Identifiers must not contain ``:`` or ``;``.
 
 The optional config file is flat ``key=value`` text; unknown keys are errors.
-Exit codes: 0 success, 1 parse/validation failure, 2 I/O failure (also two
-output flags naming one file), 3 pipeline failure.
+Exit codes: 0 success, 1 parse/validation failure, 2 I/O failure (also an
+output flag naming a file that another flag names), 3 pipeline failure.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -41,7 +42,6 @@ from .errors import AssessmentError, IoError, ParseError, ValidationErrors
 from .funnel import FunnelReport, build_funnel_report, qq_max_deviation
 from .indicator import fractional_weights, researcher_fss
 from .model import (
-    AssessablePopulation,
     AssessmentConfig,
     AuthorSlot,
     CitationBaseline,
@@ -416,9 +416,17 @@ def _band(band) -> str:
     return _BAND % (_number(band.level_z), _number(band.lower), _number(band.upper))
 
 
-def _array(items: list[str], indent: str) -> str:
-    """A JSON array of already-indented item texts, closed at ``indent``."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+def _array(pieces: list[str], items, indent: str) -> None:
+    """Append to ``pieces`` a JSON array of already-indented item texts,
+    closed at ``indent``, without joining the items into one text."""
+    opened = len(pieces)
+    for item in items:
+        pieces += (",\n", item)
+    if len(pieces) == opened:
+        pieces.append("[]")
+    else:
+        pieces[opened] = "[\n"  # the first item's separator opens the array
+        pieces.append("\n" + indent + "]")
 
 
 def emit_report(report: FunnelReport) -> str:
@@ -426,7 +434,8 @@ def emit_report(report: FunnelReport) -> str:
 
     The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``,
     which writes the small config, transform and fit blocks; a non-finite
-    float raises the same ValueError."""
+    float raises the same ValueError. Every piece, each institution entry
+    included, goes to one final join, so the text is copied once."""
     head = json.dumps(
         {
             "config": {
@@ -449,7 +458,8 @@ def emit_report(report: FunnelReport) -> str:
         allow_nan=False,
     )
     rankings = report.rankings
-    institutions = [
+    pieces = [head[:-2], ',\n  "institutions": ']  # head without the closing "\n}"
+    _array(pieces, (
         _INSTITUTION % (
             encode_basestring_ascii(s.institution_id),
             s.size,
@@ -461,47 +471,56 @@ def emit_report(report: FunnelReport) -> str:
             rankings[s.institution_id],
         )
         for s in report.summaries
-    ]
-    qq = [_QQ_POINT % (_number(x), _number(y)) for x, y in report.qq_points or ()]
+    ), "  ")
+    pieces.append(',\n  "diagnostics": {\n    "qq_points": ')
+    _array(pieces, (
+        _QQ_POINT % (_number(x), _number(y)) for x, y in report.qq_points or ()
+    ), "    ")
     slope = report.size_slope
-    return "".join([
-        head[:-2],  # without the closing "\n}"
-        ',\n  "institutions": ',
-        _array(institutions, "  "),
-        ',\n  "diagnostics": {\n    "qq_points": ',
-        _array(qq, "    "),
+    pieces += (
         ',\n    "qq_max_abs_deviation": ',
         _number(qq_max_deviation(report.qq_points)) if report.qq_points else "null",
         ',\n    "size_slope": ',
         "null" if slope is None else _SIZE_SLOPE % (_number(slope[0]), _number(slope[1])),
         "\n  }\n}\n",
-    ])
+    )
+    return "".join(pieces)
 
 
-def _write_all(outputs: dict[str, str]) -> None:
-    """Write each destination's text through a uniquely named temp file
-    beside it.
+# Characters handed to the encoder at a time, so no encoded copy of a whole
+# output is ever made.
+_WRITE_SLICE = 1 << 16
 
-    A destination that is a directory is rejected before any temp file is
-    written. Nothing is renamed until every temp file is written, so a write
-    that fails (a missing directory, a full disk) leaves every destination as
-    it was. Temp files not yet renamed when anything fails are removed; an
-    OSError becomes an IoError naming the destination it hit. Temp files are
-    created with mode 0o666, as ``open`` creates files, so the umask and
-    default ACLs give each output the mode a plain write would.
+
+def _write_all(outputs: dict[str, Callable[[], str]]) -> None:
+    """Build each destination's text and write it through a uniquely named
+    temp file beside it, one output at a time.
+
+    A destination that is a directory is rejected before any text is built.
+    Then each text is built, written in slices and dropped before the next
+    one is built, so no two outputs are held at once. Nothing is renamed
+    until every temp file is written, so a build that fails (any exception)
+    or a write that fails (a missing directory, a full disk) leaves every
+    destination as it was. Temp files not yet renamed when anything fails are
+    removed; an OSError becomes an IoError naming the destination it hit.
+    Temp files are created with mode 0o666, as ``open`` creates files, so the
+    umask and default ACLs give each output the mode a plain write would.
     """
     for destination in outputs:
         if os.path.isdir(destination):
             raise IoError(destination, os.strerror(errno.EISDIR))
     pending: list[tuple[Path, str]] = []
     try:
-        for destination, text in outputs.items():
+        for destination, build in outputs.items():
+            text = build()
             path = Path(destination)
             tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             pending.append((tmp, destination))
             with open(fd, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                for start in range(0, len(text), _WRITE_SLICE):
+                    handle.write(text[start : start + _WRITE_SLICE])
+            del text
         while pending:
             tmp, destination = pending[0]
             os.replace(tmp, destination)
@@ -519,32 +538,34 @@ def _write_all(outputs: dict[str, str]) -> None:
 # ---------------------------------------------------------------------------
 
 
+_INPUT_FLAGS = ("researchers", "publications", "baselines", "config")
 _OUTPUT_FLAGS = ("report", "funnel_svg", "qq_svg", "caterpillar_svg")
 
 
 def _duplicate_output(args: argparse.Namespace) -> str | None:
-    """Why two output flags name one file, or None: the later write would
-    silently replace the earlier one."""
+    """Why an output flag names a file that an input flag or an earlier
+    output flag names, or None: the write would silently replace that input
+    or that earlier output."""
     seen: dict[Path, str] = {}
-    for name in _OUTPUT_FLAGS:
+    for name in _INPUT_FLAGS + _OUTPUT_FLAGS:
         destination = getattr(args, name)
         if not destination:
             continue
         flag = "--" + name.replace("_", "-")
         path = Path(destination).resolve()
-        if path in seen:
+        if path in seen and name in _OUTPUT_FLAGS:
             return f"{seen[path]} and {flag} both name {destination}"
-        seen[path] = flag
+        seen.setdefault(path, flag)
     return None
 
 
 def _read_and_score(
     args: argparse.Namespace,
-) -> tuple[AssessablePopulation, dict[str, list[float]], AssessmentConfig]:
+) -> tuple[dict[str, list[float]], AssessmentConfig, tuple[int, int]]:
     """Read and validate the inputs, apply the exclusions and score every
-    kept researcher. Only the population, each institution's FSS values and
-    the config leave this call, so the input records are freed before the
-    report is built."""
+    kept researcher. Only each institution's FSS values, the config and the
+    counts of dropped researchers and institutions leave this call, so the
+    input and researcher records are freed before the report is built."""
     researchers = read_researchers_csv(args.researchers)
     publications = read_publications_csv(args.publications)
     baselines = read_baselines_csv(args.baselines)
@@ -558,7 +579,7 @@ def _read_and_score(
         ]
         for inst, members in population.institutions.items()
     }
-    return population, values, config
+    return values, config, (population.dropped_researchers, population.dropped_institutions)
 
 
 def run_assessment(args: argparse.Namespace) -> int:
@@ -569,15 +590,18 @@ def run_assessment(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        population, values, config = _read_and_score(args)
+        values, config, dropped = _read_and_score(args)
         report = build_funnel_report(values, config)
-        outputs = {args.report: emit_report(report)}
+        del values  # the outputs are built from the report alone
+        # Each output is built only when _write_all reaches it.
+        outputs = {args.report: lambda: emit_report(report)}
         if args.funnel_svg:
-            outputs[args.funnel_svg] = render_funnel_svg(report)
+            outputs[args.funnel_svg] = lambda: render_funnel_svg(report)
         if args.qq_svg:
-            outputs[args.qq_svg] = render_qq_svg(report)
+            outputs[args.qq_svg] = lambda: render_qq_svg(report)
         if args.caterpillar_svg:
-            outputs[args.caterpillar_svg] = render_caterpillar_svg(report)
+            outputs[args.caterpillar_svg] = lambda: render_caterpillar_svg(report)
+        _write_all(outputs)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -592,12 +616,6 @@ def run_assessment(args: argparse.Namespace) -> int:
         print(f"error: pipeline failed: {exc}", file=sys.stderr)
         return 3
 
-    try:
-        _write_all(outputs)
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     if not args.quiet:
         flagged = sum(
             1 for s in report.summaries if s.classification.value != "within"
@@ -605,8 +623,7 @@ def run_assessment(args: argparse.Namespace) -> int:
         print(
             f"assessed {report.fit.total_n} researchers in "
             f"{report.fit.group_count} institutions "
-            f"(dropped {population.dropped_researchers} researchers, "
-            f"{population.dropped_institutions} institutions); "
+            f"(dropped {dropped[0]} researchers, {dropped[1]} institutions); "
             f"delta={report.transform.delta:.6g} "
             f"converged={report.transform.converged}; "
             f"{flagged} institution(s) outside the inner bands"
@@ -750,13 +767,13 @@ def generate_synthetic_dataset(
         "config": str(out / "config.txt"),
     }
     _write_all({
-        paths["researchers"]: _csv_text(RESEARCHER_HEADER, researcher_rows),
-        paths["publications"]: _csv_text(PUBLICATION_HEADER, publication_rows),
-        paths["baselines"]: _csv_text(
+        paths["researchers"]: lambda: _csv_text(RESEARCHER_HEADER, researcher_rows),
+        paths["publications"]: lambda: _csv_text(PUBLICATION_HEADER, publication_rows),
+        paths["baselines"]: lambda: _csv_text(
             BASELINE_HEADER,
             [[str(year), category, f"{baselines[year]:g}"] for year in years],
         ),
-        paths["config"]: "\n".join(
+        paths["config"]: lambda: "\n".join(
             [
                 "# synthetic fixture configuration",
                 f"period_start={config.period_start}",

@@ -223,8 +223,8 @@ def render_funnel_svg(report: FunnelReport) -> str:
             _marker(frame.x(summary.size), frame.y(summary.mean_transformed),
                     summary.classification)
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def render_qq_svg(report: FunnelReport) -> str:
@@ -248,8 +248,8 @@ def render_qq_svg(report: FunnelReport) -> str:
         parts.append(
             _marker(frame.x(theoretical), frame.y(sample), Classification.WITHIN)
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def render_caterpillar_svg(report: FunnelReport) -> str:
@@ -301,5 +301,5 @@ def render_caterpillar_svg(report: FunnelReport) -> str:
         parts.append(
             _marker(x, frame.y(summary.mean_transformed), summary.classification)
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -4,9 +4,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from enum import Enum
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -491,6 +493,52 @@ def test_two_output_flags_naming_one_file_is_usage_error(tmp_path, capsys, first
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "source, output, spelling",
+    [
+        ("--researchers", "--report", "{path}"),
+        ("--publications", "--funnel-svg", "./{name}"),
+        ("--config", "--caterpillar-svg", "./{name}"),
+    ],
+)
+def test_output_flag_naming_an_input_file_is_usage_error(
+    tmp_path, capsys, monkeypatch, source, output, spelling
+):
+    paths = write_fixture(tmp_path)
+    config = tmp_path / "config.txt"
+    config.write_text("min_faculty=4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    args = assess_args(paths, out, ["--config", str(config)])
+    target = Path(args[args.index(source) + 1])
+    args[args.index(output) + 1] = spelling.format(path=target, name=target.name)
+    monkeypatch.chdir(tmp_path)
+    inputs = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source} and {output} both name {args[args.index(output) + 1]}\n"
+    )
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == inputs
+    assert list(out.iterdir()) == []
+
+
+def test_failure_while_building_a_later_output_leaves_no_output(tmp_path, capsys):
+    # Two institutions: the report and the funnel figure are built and
+    # written to temp files, then the quantile plot, which needs three, fails.
+    paths = write_fixture(
+        tmp_path,
+        [row for row in RESEARCHERS if row[1] != "C"],
+        [row for row in PUBLICATIONS if not row[3].endswith(":C")],
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(assess_args(paths, out)) == 3
+    assert capsys.readouterr().err == (
+        "error: pipeline failed: quantile plot needs at least 3 adjusted means\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_synth_into_a_path_under_a_file_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x", encoding="utf-8")
@@ -593,6 +641,59 @@ def test_input_records_are_freed_before_the_report_is_built(tmp_path, monkeypatc
     before = alive()
     assert main(assess_args(paths, tmp_path, ["--quiet"])) == 0
     assert seen == [before]
+
+
+def test_researcher_records_are_freed_before_the_outputs_are_built(tmp_path, monkeypatch):
+    def alive() -> int:
+        return sum(isinstance(obj, ResearcherRecord) for obj in gc.get_objects())
+
+    emit = fssfunnel.cli.emit_report
+    seen = []
+
+    def counting_emit(report):
+        seen.append(alive())
+        return emit(report)
+
+    monkeypatch.setattr(fssfunnel.cli, "emit_report", counting_emit)
+    paths = write_fixture(tmp_path)
+    before = alive()
+    assert main(assess_args(paths, tmp_path, ["--quiet"])) == 0
+    assert seen == [before]
+
+
+def test_output_stage_holds_about_two_copies_of_the_report(tmp_path, monkeypatch):
+    # 2,000 institutions of 2-3 researchers: the outputs outgrow the inputs.
+    fixture = tmp_path / "fixture"
+    assert main([
+        "synth", "--out-dir", str(fixture), "--institutions", "2000",
+        "--size-min", "2", "--size-max", "3", "--total", "5000", "--quiet",
+    ]) == 0
+    (fixture / "config.txt").write_text("min_faculty=2\n", encoding="utf-8")
+    paths = {name: str(fixture / f"{name}.csv")
+             for name in ("researchers", "publications", "baselines")}
+
+    build = fssfunnel.cli.build_funnel_report
+    traced_at_report = []
+
+    def build_then_reset_peak(values_by_institution, config):
+        report = build(values_by_institution, config)
+        tracemalloc.reset_peak()
+        traced_at_report.append(tracemalloc.get_traced_memory()[0])
+        return report
+
+    monkeypatch.setattr(fssfunnel.cli, "build_funnel_report", build_then_reset_peak)
+    args = assess_args(paths, tmp_path, ["--config", str(fixture / "config.txt"), "--quiet"])
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Every output is built, written and dropped in turn, and the report, the
+    # largest, is copied once from its pieces: the output stage's peak is the
+    # pieces and the text, not several whole copies.
+    length = len((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert peak - traced_at_report[0] <= 2.5 * length
 
 
 def test_repeated_publication_id_is_rejected(tmp_path, capsys):
