@@ -3,13 +3,10 @@ assessment of institutional means."""
 
 from .errors import (
     AssessmentError,
-    DegenerateRegressor,
     DegenerateSample,
     DuplicatePublicationId,
     DuplicateResearcherId,
     EmptyPopulation,
-    EmptyReport,
-    InsufficientDegreesOfFreedom,
     IoError,
     MalformedAuthorList,
     MissingBaseline,
@@ -28,7 +25,6 @@ from .funnel import (
     classify_institution,
     confidence_bands,
     fit_pooled,
-    qq_max_deviation,
     qq_points,
     size_slope,
 )

@@ -39,7 +39,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import AssessmentError, IoError, ParseError, ValidationErrors
-from .funnel import FunnelReport, build_funnel_report, qq_max_deviation
+from .funnel import FunnelReport, build_funnel_report
 from .indicator import fractional_weights, researcher_fss
 from .model import (
     AssessmentConfig,
@@ -207,6 +207,10 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
     shared: dict = {}
     for line, row in _read_rows(path, PUBLICATION_HEADER):
         pid, year_text, category, citations_text, authors_cell = row
+        # Stripped as researcher ids are, so a padded copy is still a duplicate.
+        pid = pid.strip()
+        if not pid:
+            raise ParseError(path, line, "publication_id", "must not be blank")
         year = _parse_int(path, line, "year", year_text, 0)
         citations = _parse_int(path, line, "citations", citations_text, 0)
         authors = []
@@ -235,7 +239,9 @@ def read_baselines_csv(path: str) -> CitationBaseline:
                 path, line, "mean_citations", f"not a number: {mean_text!r}"
             ) from None
         if not math.isfinite(mean) or mean <= 0:
-            raise ParseError(path, line, "mean_citations", f"must be > 0, got {mean}")
+            raise ParseError(
+                path, line, "mean_citations", f"must be finite and > 0, got {mean}"
+            )
         key = (year, category)
         if key in entries:
             raise ParseError(path, line, "year", f"duplicate baseline entry {key}")
@@ -479,7 +485,8 @@ def emit_report(report: FunnelReport) -> str:
     slope = report.size_slope
     pieces += (
         ',\n    "qq_max_abs_deviation": ',
-        _number(qq_max_deviation(report.qq_points)) if report.qq_points else "null",
+        "null" if not report.qq_points
+        else _number(max(abs(y - x) for x, y in report.qq_points)),
         ',\n    "size_slope": ',
         "null" if slope is None else _SIZE_SLOPE % (_number(slope[0]), _number(slope[1])),
         "\n  }\n}\n",
@@ -878,18 +885,22 @@ def _build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--caterpillar-svg")
     assess.add_argument("--quiet", action="store_true")
 
-    synth = sub.add_parser("synth", help="generate a synthetic CSV fixture")
+    # An option left out takes generate_synthetic_dataset's default, so each
+    # default is written once, in that signature.
+    synth = sub.add_parser(
+        "synth", help="generate a synthetic CSV fixture", argument_default=argparse.SUPPRESS
+    )
     synth.add_argument("--out-dir", required=True)
-    synth.add_argument("--institutions", type=int, default=42)
-    synth.add_argument("--size-min", type=int, default=5)
-    synth.add_argument("--size-max", type=int, default=61)
-    synth.add_argument("--total", type=int, default=877)
-    synth.add_argument("--mean", type=float, default=0.25)
-    synth.add_argument("--sd", type=float, default=0.34)
-    synth.add_argument("--skewness", type=float, default=3.1)
-    synth.add_argument("--institution-effect-sd", type=float, default=0.0)
-    synth.add_argument("--seed", type=int, default=12345)
-    synth.add_argument("--quiet", action="store_true")
+    synth.add_argument("--institutions", type=int)
+    synth.add_argument("--size-min", type=int)
+    synth.add_argument("--size-max", type=int)
+    synth.add_argument("--total", type=int, dest="total_researchers", metavar="TOTAL")
+    synth.add_argument("--mean", type=float)
+    synth.add_argument("--sd", type=float)
+    synth.add_argument("--skewness", type=float)
+    synth.add_argument("--institution-effect-sd", type=float)
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--quiet", action="store_true", default=False)
     return parser
 
 
@@ -908,18 +919,10 @@ def main(argv=None) -> int:
                 gc.enable()
 
     try:
-        paths = generate_synthetic_dataset(
-            args.out_dir,
-            institutions=args.institutions,
-            size_min=args.size_min,
-            size_max=args.size_max,
-            total_researchers=args.total,
-            mean=args.mean,
-            sd=args.sd,
-            skewness=args.skewness,
-            institution_effect_sd=args.institution_effect_sd,
-            seed=args.seed,
-        )
+        paths = generate_synthetic_dataset(**{
+            name: value for name, value in vars(args).items()
+            if name not in ("command", "quiet")
+        })
     except (IoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

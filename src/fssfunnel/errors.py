@@ -76,25 +76,9 @@ class EmptyPopulation(AssessmentError):
 
 
 class DegenerateSample(AssessmentError):
-    """Too few values, or no variation, for the requested statistic."""
-
-
-class InsufficientDegreesOfFreedom(AssessmentError):
-    def __init__(self, total_n: int, group_count: int):
-        self.total_n = total_n
-        self.group_count = group_count
-        super().__init__(
-            f"pooled fit needs more observations than groups "
-            f"(N={total_n}, J={group_count})"
-        )
-
-
-class DegenerateRegressor(AssessmentError):
-    """Size-slope regression needs at least 3 points with non-constant sizes."""
-
-
-class EmptyReport(AssessmentError):
-    """The report carries nothing to plot."""
+    """Too few values, or no variation, for the requested statistic or
+    figure: a skewness, a pooled fit with no more observations than groups,
+    a size slope, a quantile plot, or a figure with nothing to plot."""
 
 
 class IoError(AssessmentError):

@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateRegressor, DegenerateSample, InsufficientDegreesOfFreedom
+from .errors import DegenerateSample
 from .model import AssessmentConfig, GrandMeanMode, SkewnessTarget
 from .transform import (
     TransformSpec,
@@ -94,7 +94,10 @@ def fit_pooled(
     total_n = sum(sizes)
     group_count = len(groups)
     if total_n <= group_count:
-        raise InsufficientDegreesOfFreedom(total_n, group_count)
+        raise DegenerateSample(
+            f"pooled fit needs more observations than groups "
+            f"(N={total_n}, J={group_count})"
+        )
 
     blocks = _size_blocks(groups)
     if grand_mean_mode is GrandMeanMode.INDIVIDUALS:
@@ -166,22 +169,16 @@ def qq_points(adjusted) -> list[tuple[float, float]]:
     ]
 
 
-def qq_max_deviation(points) -> float:
-    """Largest |sample - theoretical| gap in the quantile plot; a rough
-    normality summary with no pass/fail threshold attached."""
-    return max(abs(sample - theoretical) for theoretical, sample in points)
-
-
 def size_slope(points) -> tuple[float, float]:
     """OLS slope of institution mean on size, with its classical standard error."""
     pts = list(points)
     if len(pts) < 3:
-        raise DegenerateRegressor(f"regression needs at least 3 points, got {len(pts)}")
+        raise DegenerateSample(f"regression needs at least 3 points, got {len(pts)}")
     x = np.asarray([float(n) for n, _ in pts])
     y = np.asarray([float(m) for _, m in pts])
     sxx = float(((x - x.mean()) ** 2).sum())
     if sxx == 0.0:
-        raise DegenerateRegressor("all sizes are equal; slope is undefined")
+        raise DegenerateSample("all sizes are equal; slope is undefined")
     slope = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
     intercept = float(y.mean()) - slope * float(x.mean())
     residuals = y - (intercept + slope * x)
@@ -260,7 +257,7 @@ def build_funnel_report(
         qq = None
     try:
         slope = size_slope([(s.size, s.mean_transformed) for s in summaries])
-    except DegenerateRegressor:
+    except DegenerateSample:
         slope = None
 
     return FunnelReport(

@@ -104,6 +104,8 @@ class PublicationRecord:
     def __post_init__(self):
         if self.citations < 0:
             raise ValueError(f"citations must be >= 0, got {self.citations}")
+        if not self.publication_id.strip():
+            raise ValueError("publication_id must not be blank")
         object.__setattr__(self, "authors", tuple(self.authors))
 
     @property

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import ceil, exp, floor, log10, sqrt
 
-from .errors import EmptyReport
+from .errors import DegenerateSample
 from .funnel import Classification, FunnelReport, confidence_bands
 
 WIDTH, HEIGHT = 760, 520
@@ -169,7 +169,7 @@ def render_funnel_svg(report: FunnelReport) -> str:
     the back-transformed (original-scale) values of the left-hand ticks.
     """
     if not report.summaries:
-        raise EmptyReport("funnel plot needs at least one institution")
+        raise DegenerateSample("funnel plot needs at least one institution")
     fit = report.fit
     sizes = [s.size for s in report.summaries]
     n_lo = max(1, min(sizes) - 2)
@@ -230,7 +230,7 @@ def render_funnel_svg(report: FunnelReport) -> str:
 def render_qq_svg(report: FunnelReport) -> str:
     """Normal quantile plot of the adjusted means with a 45-degree reference."""
     if not report.qq_points:
-        raise EmptyReport("quantile plot needs at least 3 adjusted means")
+        raise DegenerateSample("quantile plot needs at least 3 adjusted means")
     values = [v for pair in report.qq_points for v in pair]
     lo, hi = _pad_range(min(values), max(values))
     frame = _Frame((lo, hi), (lo, hi))
@@ -261,7 +261,7 @@ def render_caterpillar_svg(report: FunnelReport) -> str:
     provided for comparison with the funnel view.
     """
     if not report.summaries:
-        raise EmptyReport("caterpillar plot needs at least one institution")
+        raise DegenerateSample("caterpillar plot needs at least one institution")
     fit = report.fit
     ordered = sorted(
         report.summaries, key=lambda s: (s.mean_transformed, s.institution_id)

@@ -18,8 +18,10 @@ import fssfunnel
 from fssfunnel.cli import (
     RANK_CAVEAT,
     emit_report,
+    generate_synthetic_dataset,
     main,
     parse_config_file,
+    read_baselines_csv,
     read_publications_csv,
     read_researchers_csv,
 )
@@ -30,7 +32,6 @@ from fssfunnel.funnel import (
     FunnelReport,
     InstitutionSummary,
     PooledFit,
-    qq_max_deviation,
 )
 from fssfunnel.model import (
     AssessmentConfig,
@@ -421,6 +422,23 @@ def test_degenerate_pipeline_is_exit_three(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_no_more_researchers_than_institutions_is_exit_three(tmp_path, capsys):
+    # One researcher in each of three institutions: the pooled fit has no
+    # degree of freedom left for the spread within institutions.
+    paths = write_fixture(
+        tmp_path,
+        [row for row in RESEARCHERS if row[0] in ("a1", "b1", "c2")],
+        [row for row in PUBLICATIONS if row[0] in ("q01", "q08", "q14")],
+    )
+    config = tmp_path / "config.txt"
+    config.write_text("min_faculty=1\n", encoding="utf-8")
+    assert main(assess_args(paths, tmp_path, ["--config", str(config)])) == 3
+    assert capsys.readouterr().err == (
+        "error: pipeline failed: pooled fit needs more observations than groups (N=3, J=3)\n"
+    )
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_zero_pooled_sd_is_exit_three(tmp_path, capsys):
     # Every researcher of an institution has the same FSS, and the
     # institutions differ: the pooled SD is 0.
@@ -706,6 +724,45 @@ def test_repeated_publication_id_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_padded_publication_id_is_a_duplicate(tmp_path, capsys):
+    # Publication ids are stripped as researcher ids are, so a padded copy of
+    # an id is the same id.
+    rows = PUBLICATIONS + [("q03 ", 2008, 4, "1:c2:C")]
+    paths = write_fixture(tmp_path, publication_rows=rows)
+    assert main(assess_args(paths, tmp_path)) == 1
+    assert capsys.readouterr().err == "error: duplicate publication id 'q03'\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("pid", ["", "  "])
+def test_blank_publication_id_names_its_file_line(tmp_path, capsys, pid):
+    rows = PUBLICATIONS[:2] + [(pid, 2008, 4, "1:c2:C")] + PUBLICATIONS[2:]
+    paths = write_fixture(tmp_path, publication_rows=rows)
+    assert main(assess_args(paths, tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths['publications']}:4: column 'publication_id': must not be blank\n"
+    )
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, shown", [("nan", "nan"), ("1e400", "inf"), ("0", "0.0"), ("-1", "-1.0")]
+)
+def test_bad_baseline_mean_names_its_line(tmp_path, text, shown):
+    path = tmp_path / "baselines.csv"
+    path.write_text(
+        "year,subject_category,mean_citations\n"
+        "2008,Biochemistry,5\n"
+        f"2009,Biochemistry,{text}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as caught:
+        read_baselines_csv(str(path))
+    assert str(caught.value) == (
+        f"{path}:3: column 'mean_citations': must be finite and > 0, got {shown}"
+    )
+
+
 @pytest.mark.parametrize("with_baseline", [False, True])
 def test_publication_outside_the_period_changes_no_byte(tmp_path, with_baseline):
     paths = write_fixture(tmp_path)
@@ -898,6 +955,28 @@ def test_synth_roundtrip_small(tmp_path):
     assert report["fit"]["total_n"] == 26
 
 
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        ([], {}),
+        (["--institutions", "6", "--size-min", "3", "--size-max", "9", "--total", "40",
+          "--mean", "0.3", "--sd", "0.4", "--skewness", "2.5",
+          "--institution-effect-sd", "0.2", "--seed", "7"],
+         {"institutions": 6, "size_min": 3, "size_max": 9, "total_researchers": 40,
+          "mean": 0.3, "sd": 0.4, "skewness": 2.5, "institution_effect_sd": 0.2,
+          "seed": 7}),
+    ],
+    ids=["defaults", "every-flag"],
+)
+def test_synth_flags_map_onto_the_library_call(tmp_path, flags, kwargs):
+    # A flag left out takes generate_synthetic_dataset's own default.
+    cli_dir, library_dir = tmp_path / "cli", tmp_path / "library"
+    assert main(["synth", "--out-dir", str(cli_dir), *flags, "--quiet"]) == 0
+    generate_synthetic_dataset(str(library_dir), **kwargs)
+    for name in ("researchers.csv", "publications.csv", "baselines.csv", "config.txt"):
+        assert (cli_dir / name).read_bytes() == (library_dir / name).read_bytes()
+
+
 def test_emit_report_round_trips_and_is_stable():
     report = make_report(
         {"A": [0.1, 0.5, 0.2, 0.9, 0.33], "B": [0.0, 0.41, 0.07, 0.64, 0.5, 0.28]}
@@ -915,6 +994,16 @@ def test_emit_report_round_trips_and_is_stable():
     assert payload["fit"]["grand_mean"] == report.fit.grand_mean
     assert payload["transform"]["delta"] == report.transform.delta
     assert payload["institutions"][0]["mean_transformed"] == report.summaries[0].mean_transformed
+
+
+def test_qq_max_deviation_summary():
+    # The report's normality summary: the largest |sample - theoretical| gap,
+    # null when the report has no quantile plot.
+    report = make_report({"A": [0.1, 0.4, 0.9, 0.2]})
+    points = ((0.0, 0.1), (1.0, 0.7), (2.0, 2.05))
+    diagnostics = json.loads(emit_report(replace(report, qq_points=points)))["diagnostics"]
+    assert diagnostics["qq_max_abs_deviation"] == pytest.approx(0.3, abs=1e-12)
+    assert json.loads(emit_report(report))["diagnostics"]["qq_max_abs_deviation"] is None
 
 
 def test_int_band_levels_emit_the_bytes_of_float_levels():
@@ -974,7 +1063,7 @@ def payload(report):
             "qq_points": [list(pair) for pair in (report.qq_points or ())],
             "qq_max_abs_deviation": None
             if not report.qq_points
-            else qq_max_deviation(report.qq_points),
+            else max(abs(y - x) for x, y in report.qq_points),
             "size_slope": None
             if report.size_slope is None
             else {"slope": report.size_slope[0], "standard_error": report.size_slope[1]},
@@ -1085,3 +1174,60 @@ def test_emit_report_rejects_a_non_finite_float_as_json_dumps_does(bad, where):
         emit_report(report)
     message = f"Out of range float values are not JSON compliant: {bad!r}"
     assert str(caught.value) == str(expected.value) == message
+
+
+# 2,000 institutions of 5 to 59 shifted lognormal values clipped at 0, as
+# synth draws FSS. With numpy 2.4 on an AVX-512 host, the two runs below
+# write one QQ coordinate and achieved_skewness in other last bits.
+DISPATCH_REPORT = """
+import sys
+import numpy as np
+from fssfunnel.cli import emit_report
+from fssfunnel.funnel import build_funnel_report
+from fssfunnel.model import AssessmentConfig
+rng = np.random.default_rng(7)
+values = {
+    f"u{j:04d}": np.clip(rng.lognormal(-1.5, 1.0, rng.integers(5, 60)) - 0.05, 0, None).tolist()
+    for j in range(2000)
+}
+sys.stdout.write(emit_report(build_funnel_report(values, AssessmentConfig(min_faculty=1))))
+"""
+
+
+def assert_reports_agree(ours, theirs, tolerance, key=None):
+    """Equal structure, text, ints and flags; floats within 1e-12 relative,
+    ``achieved_skewness`` within the solver's tolerance."""
+    if isinstance(ours, dict):
+        assert list(ours) == list(theirs)
+        for name in ours:
+            assert_reports_agree(ours[name], theirs[name], tolerance, name)
+    elif isinstance(ours, list):
+        assert len(ours) == len(theirs), key
+        for mine, other in zip(ours, theirs):
+            assert_reports_agree(mine, other, tolerance, key)
+    elif isinstance(ours, float) and key == "achieved_skewness":
+        assert abs(ours - theirs) <= tolerance
+    elif isinstance(ours, float):
+        assert math.isclose(ours, theirs, rel_tol=1e-12, abs_tol=0.0), (key, ours, theirs)
+    else:
+        assert type(ours) is type(theirs) and ours == theirs, (key, ours, theirs)
+
+
+def test_cpu_dispatch_moves_report_numbers_only_in_the_last_bits():
+    # numpy may dispatch np.log to an AVX-512 kernel that differs from the
+    # baseline kernel in the last bit, so the report's bytes are fixed per
+    # machine only. This pins how far they may move: labels, ranks, sizes and
+    # convergence never; every number by at most 1e-12 relative. Where numpy
+    # does not dispatch these features, the variable only warns.
+    default = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fssfunnel.__file__)))
+    default.pop("NPY_DISABLE_CPU_FEATURES", None)
+    baseline = dict(default, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    reports = []
+    for env in (default, baseline):
+        result = subprocess.run(
+            [sys.executable, "-c", DISPATCH_REPORT],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        reports.append(json.loads(result.stdout))
+    ours, theirs = reports
+    assert_reports_agree(ours, theirs, ours["config"]["skewness_tolerance"])

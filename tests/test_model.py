@@ -297,6 +297,12 @@ def test_researcher_record_rejects_blank_ids(rid, inst):
         researcher(rid, inst=inst)
 
 
+@pytest.mark.parametrize("pid", ["", " "])
+def test_publication_record_rejects_a_blank_id(pid):
+    with pytest.raises(ValueError, match="blank"):
+        publication(pid, 3, byline("u01", researcher_ids=["r1"]))
+
+
 @pytest.mark.parametrize("inst", ["", " "])
 def test_author_slot_rejects_a_blank_institution(inst):
     # Two blank ends would otherwise compare equal and score as intramural.

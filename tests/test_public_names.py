@@ -11,16 +11,13 @@ PUBLIC_NAMES = [
     "BandPoint",
     "CitationBaseline",
     "Classification",
-    "DegenerateRegressor",
     "DegenerateSample",
     "DuplicatePublicationId",
     "DuplicateResearcherId",
     "EmptyPopulation",
-    "EmptyReport",
     "FunnelReport",
     "GrandMeanMode",
     "InstitutionSummary",
-    "InsufficientDegreesOfFreedom",
     "IoError",
     "MalformedAuthorList",
     "MissingBaseline",
@@ -46,7 +43,6 @@ PUBLIC_NAMES = [
     "indicator",
     "log_shift_transform",
     "model",
-    "qq_max_deviation",
     "qq_points",
     "render",
     "render_caterpillar_svg",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from statistics import NormalDist
 
-from fssfunnel.errors import EmptyReport
+from fssfunnel.errors import DegenerateSample
 from fssfunnel.funnel import (
     FunnelReport,
     PooledFit,
@@ -105,8 +105,10 @@ def test_funnel_empty_report_rejected():
         rankings={},
         config=report.config,
     )
-    with pytest.raises(EmptyReport):
+    with pytest.raises(DegenerateSample, match="funnel plot needs at least one institution"):
         render_funnel_svg(empty)
+    with pytest.raises(DegenerateSample, match="caterpillar plot needs at least one"):
+        render_caterpillar_svg(empty)
 
 
 def _qq_report(adjusted):
@@ -147,7 +149,7 @@ def test_qq_empty_rejected():
         rankings=report.rankings,
         config=report.config,
     )
-    with pytest.raises(EmptyReport):
+    with pytest.raises(DegenerateSample, match="quantile plot needs at least 3 adjusted means"):
         render_qq_svg(gutted)
 
 
