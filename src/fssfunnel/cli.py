@@ -34,9 +34,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
-
-import numpy as np
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 from .errors import AssessmentError, IoError, ParseError, ValidationErrors
 from .funnel import FunnelReport, build_funnel_report
@@ -52,6 +50,11 @@ from .model import (
     validate_dataset,
 )
 from .render import render_caterpillar_svg, render_funnel_svg, render_qq_svg
+
+# Only ``synth`` draws random numbers, so only its helpers import numpy: an
+# ``assess`` run never pays for the import.
+if TYPE_CHECKING:
+    import numpy as np
 
 RESEARCHER_HEADER = ["researcher_id", "institution_id", "field_code", "rank", "years_active"]
 PUBLICATION_HEADER = ["publication_id", "year", "subject_category", "citations", "authors"]
@@ -74,7 +77,10 @@ def _read_rows(path: str, expected_header: list[str]):
     """(line, row) for each non-blank data row, read as the file is consumed.
 
     ``line`` is the file line the row starts on, so a quoted field that spans
-    lines does not shift the line named for the rows after it."""
+    lines does not shift the line named for the rows after it. A row that csv
+    cannot read, such as one with a field over csv's size limit, is a
+    ParseError for the line it starts on."""
+    start = 1
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = csv.reader(handle)
@@ -99,6 +105,8 @@ def _read_rows(path: str, expected_header: list[str]):
                         f"expected {len(expected_header)} fields, got {len(row)}",
                     )
                 yield line, row
+    except csv.Error as exc:
+        raise ParseError(path, start, expected_header[0], f"unreadable row: {exc}") from None
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
     except UnicodeDecodeError:
@@ -207,8 +215,9 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
     shared: dict = {}
     for line, row in _read_rows(path, PUBLICATION_HEADER):
         pid, year_text, category, citations_text, authors_cell = row
-        # Stripped as researcher ids are, so a padded copy is still a duplicate.
-        pid = pid.strip()
+        # Stripped as researcher ids are, so a padded copy is still a duplicate
+        # and a padded category still finds its baseline.
+        pid, category = pid.strip(), category.strip()
         if not pid:
             raise ParseError(path, line, "publication_id", "must not be blank")
         year = _parse_int(path, line, "year", year_text, 0)
@@ -231,6 +240,7 @@ def read_baselines_csv(path: str) -> CitationBaseline:
     entries: dict[tuple[int, str], float] = {}
     for line, row in _read_rows(path, BASELINE_HEADER):
         year_text, category, mean_text = row
+        category = category.strip()  # as in publications.csv
         year = _parse_int(path, line, "year", year_text, 0)
         try:
             mean = float(mean_text)
@@ -589,6 +599,31 @@ def _read_and_score(
     return values, config, (population.dropped_researchers, population.dropped_institutions)
 
 
+def _warnings(report: FunnelReport) -> list[str]:
+    """What a successful run should not be trusted on, one line each."""
+    warnings = []
+    spec = report.transform
+    if not spec.converged:
+        lo, hi = spec.bracket_used
+        warnings.append(
+            f"the zero-skewness shift did not converge: skewness "
+            f"{spec.achieved_skewness:.3g} at delta={spec.delta:.6g} after searching "
+            f"[{lo:g}, {hi:g}], so the transformed scale is not symmetric and the "
+            f"bands may be miscalibrated"
+        )
+    if report.qq_points is None:
+        warnings.append(
+            "no quantile plot (qq_points is empty): it needs at least 3 "
+            "institutions whose adjusted means are not all equal"
+        )
+    if report.size_slope is None:
+        warnings.append(
+            "no size regression (size_slope is null): it needs at least 3 "
+            "institutions, not all of one size"
+        )
+    return warnings
+
+
 def run_assessment(args: argparse.Namespace) -> int:
     """The ``assess`` command on its parsed arguments; returns the exit code."""
     duplicate = _duplicate_output(args)
@@ -623,6 +658,10 @@ def run_assessment(args: argparse.Namespace) -> int:
         print(f"error: pipeline failed: {exc}", file=sys.stderr)
         return 3
 
+    # Printed with or without --quiet: the report was written, but these say
+    # which of its parts not to rely on.
+    for warning in _warnings(report):
+        print(f"warning: {warning}", file=sys.stderr)
     if not args.quiet:
         flagged = sum(
             1 for s in report.summaries if s.classification.value != "within"
@@ -676,6 +715,8 @@ def draw_fss_sample(
     rng: np.random.Generator, count: int, mean: float, sd: float, skewness: float
 ) -> np.ndarray:
     """Shifted-lognormal draws clipped at zero (mirrors nil-productivity cases)."""
+    import numpy as np
+
     theta, mu, sigma = solve_shifted_lognormal(mean, sd, skewness)
     values = theta + np.exp(rng.normal(mu, sigma, size=count))
     return np.clip(values, 0.0, None)
@@ -684,6 +725,8 @@ def draw_fss_sample(
 def _institution_sizes(
     rng: np.random.Generator, count: int, size_min: int, size_max: int, total: int
 ) -> list[int]:
+    import numpy as np
+
     total = min(max(total, count * size_min), count * size_max)
     raw = np.exp(rng.normal(0.0, 0.55, size=count))
     sizes = np.clip(
@@ -727,6 +770,8 @@ def generate_synthetic_dataset(
         raise ValueError("institutions must be >= 1")
     if not (1 <= size_min <= size_max):
         raise ValueError("need 1 <= size_min <= size_max")
+    import numpy as np
+
     config = AssessmentConfig()
     rng = np.random.default_rng(seed)
     out = Path(out_dir)

@@ -11,15 +11,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, sqrt
+from math import fsum, inf, log, sqrt
 from statistics import NormalDist
-
-import numpy as np
 
 from .errors import DegenerateSample
 from .model import AssessmentConfig, GrandMeanMode, SkewnessTarget
 from .transform import (
     TransformSpec,
+    _mean,
     log_shift_transform,
     sample_skewness,
     solve_zero_skew,
@@ -99,15 +98,17 @@ def fit_pooled(
             f"(N={total_n}, J={group_count})"
         )
 
-    blocks = _size_blocks(groups)
+    means = [_mean(values) for _, values in groups]
     if grand_mean_mode is GrandMeanMode.INDIVIDUALS:
-        grand_mean = sum(_per_group(blocks, lambda b: b.sum(axis=1))) / total_n
+        grand_mean = fsum([v for _, values in groups for v in values]) / total_n
     else:
-        grand_mean = sum(_per_group(blocks, lambda b: b.mean(axis=1))) / group_count
+        grand_mean = _mean(means)
 
-    ss_within = sum(
-        _per_group(blocks, lambda b: ((b - b.mean(axis=1, keepdims=True)) ** 2).sum(axis=1))
-    )
+    ss_within = fsum([
+        (v - mean) * (v - mean)
+        for (_, values), mean in zip(groups, means)
+        for v in values
+    ])
     pooled_sd = sqrt(ss_within / (total_n - group_count))
     return PooledFit(grand_mean, pooled_sd, total_n, group_count)
 
@@ -141,11 +142,7 @@ def classify_institution(mean: float, inner: BandPoint, outer: BandPoint) -> Cla
 def adjusted_means(groups: Groups, fit: PooledFit) -> list[float]:
     """sqrt(n_j) * (group mean - grand mean): rescales institution means to a
     common SD so they can be normality-checked together."""
-    means = _per_group(_size_blocks(groups), lambda b: b.mean(axis=1))
-    return [
-        sqrt(len(values)) * (mean - fit.grand_mean)
-        for (_, values), mean in zip(groups, means)
-    ]
+    return [sqrt(len(values)) * (_mean(values) - fit.grand_mean) for _, values in groups]
 
 
 def qq_points(adjusted) -> list[tuple[float, float]]:
@@ -154,18 +151,18 @@ def qq_points(adjusted) -> list[tuple[float, float]]:
     Pairs each order statistic with mean + SD * inv_Phi((i - 0.375)/(n + 0.25))
     (Blom positions), so a near-normal sample tracks the 45-degree line.
     """
-    arr = np.sort(np.asarray(adjusted, dtype=float))
-    n = arr.size
+    ordered = sorted(float(v) for v in adjusted)
+    n = len(ordered)
     if n < 3:
         raise DegenerateSample(f"quantile plot needs at least 3 values, got {n}")
-    sd = float(np.std(arr, ddof=1))
+    mean = _mean(ordered)
+    sd = sqrt(fsum([(v - mean) * (v - mean) for v in ordered]) / (n - 1))
     if sd == 0.0:
         raise DegenerateSample("quantile plot is undefined for a constant sample")
-    mean = float(arr.mean())
     inv = NormalDist().inv_cdf
     return [
-        (mean + sd * inv((i + 1 - 0.375) / (n + 0.25)), float(arr[i]))
-        for i in range(n)
+        (mean + sd * inv((i + 1 - 0.375) / (n + 0.25)), value)
+        for i, value in enumerate(ordered)
     ]
 
 
@@ -174,15 +171,16 @@ def size_slope(points) -> tuple[float, float]:
     pts = list(points)
     if len(pts) < 3:
         raise DegenerateSample(f"regression needs at least 3 points, got {len(pts)}")
-    x = np.asarray([float(n) for n, _ in pts])
-    y = np.asarray([float(m) for _, m in pts])
-    sxx = float(((x - x.mean()) ** 2).sum())
+    x = [float(n) for n, _ in pts]
+    y = [float(m) for _, m in pts]
+    x_mean, y_mean = _mean(x), _mean(y)
+    sxx = fsum([(u - x_mean) * (u - x_mean) for u in x])
     if sxx == 0.0:
         raise DegenerateSample("all sizes are equal; slope is undefined")
-    slope = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
-    intercept = float(y.mean()) - slope * float(x.mean())
-    residuals = y - (intercept + slope * x)
-    sse = float((residuals**2).sum())
+    slope = fsum([(u - x_mean) * (v - y_mean) for u, v in zip(x, y)]) / sxx
+    intercept = y_mean - slope * x_mean
+    residuals = [v - (intercept + slope * u) for u, v in zip(x, y)]
+    sse = fsum([r * r for r in residuals])
     se = sqrt(sse / (len(pts) - 2) / sxx)
     return slope, se
 
@@ -238,13 +236,13 @@ def build_funnel_report(
                 confidence_bands(fit, n, config.outer_z),
             )
         inner, outer = bands
-        mean_t = sum(values) / n
+        mean_t = _mean(values)
         summaries.append(
             InstitutionSummary(
                 institution_id=inst,
                 size=n,
                 mean_transformed=mean_t,
-                mean_original=sum(original) / n,
+                mean_original=_mean(original),
                 classification=classify_institution(mean_t, inner, outer),
                 inner_band=inner,
                 outer_band=outer,
@@ -283,39 +281,13 @@ def _solve_transform(
         raise DegenerateSample(
             "tuning the shift on institution means needs at least 3 institutions"
         )
-    blocks = _size_blocks(groups)
 
     def objective(delta: float) -> float:
-        return sample_skewness(_per_group(blocks, lambda b: np.log(b + delta).mean(axis=1)))
+        return sample_skewness(
+            [_mean([log(v + delta) for v in values]) for _, values in groups]
+        )
 
     return solve_zero_skew(objective, config.delta_bracket, config.skewness_tolerance)
-
-
-def _size_blocks(groups: Groups) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The groups' values stacked by size, so that a per-group reduction is
-    one numpy call per distinct size rather than one per group.
-
-    For each distinct size, in order of first appearance: the positions of its
-    groups in ``groups`` and a C-contiguous 2-D block whose rows are their
-    values. A reduction along ``axis=1`` of such a block gives, row by row, the
-    same bits as the same reduction of each group's own 1-D array.
-    """
-    positions_by_size: dict[int, list[int]] = {}
-    for position, (_, values) in enumerate(groups):
-        positions_by_size.setdefault(len(values), []).append(position)
-    return [
-        (np.array(positions), np.array([groups[p][1] for p in positions], dtype=float))
-        for positions in positions_by_size.values()
-    ]
-
-
-def _per_group(blocks, reduce) -> list[float]:
-    """``reduce`` (block -> one value per row) applied to every size block,
-    scattered back into group order."""
-    out = np.empty(sum(len(positions) for positions, _ in blocks))
-    for positions, block in blocks:
-        out[positions] = reduce(block)
-    return out.tolist()
 
 
 def performance_ranks(summaries) -> dict[str, int]:

@@ -3,15 +3,20 @@
 The productivity index is heavily right-skewed, so institutional means are
 compared on the scale y = ln(x + delta), with delta solved so the transformed
 sample has zero moment skewness. The skewness-versus-delta map is smooth and
-monotone in practice, so a bracketed bisection is robust and deterministic.
+monotone in practice, so a bracketed Brent search over ln(delta) is robust,
+deterministic and needs few evaluations.
+
+Every log is ``math.log`` of one value and every sum is ``math.fsum``, so the
+results do not depend on how a sum is blocked or vectorised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign, exp, fsum, log
+from operator import mul
+from sys import float_info
 from typing import Callable
-
-import numpy as np
 
 from .errors import DegenerateSample
 
@@ -34,16 +39,23 @@ class TransformSpec:
     converged: bool
 
 
+def _mean(values) -> float:
+    """The one mean of this package: the correctly rounded sum over the count."""
+    return fsum(values) / len(values)
+
+
 def sample_skewness(values) -> float:
     """Moment coefficient g1 = m3 / m2^(3/2), central moments with divisor n."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 3:
-        raise DegenerateSample(f"skewness needs at least 3 values, got {arr.size}")
-    dev = arr - arr.mean()
-    m2 = float(np.mean(dev * dev))
+    values = list(values)
+    n = len(values)
+    if n < 3:
+        raise DegenerateSample(f"skewness needs at least 3 values, got {n}")
+    mean = _mean(values)
+    dev = [v - mean for v in values]
+    m2 = fsum(map(mul, dev, dev)) / n
     if m2 == 0.0:
         raise DegenerateSample("skewness is undefined for a zero-variance sample")
-    m3 = float(np.mean(dev * dev * dev))
+    m3 = fsum(map(mul, map(mul, dev, dev), dev)) / n
     return m3 / m2**1.5
 
 
@@ -51,10 +63,10 @@ def log_shift_transform(values, delta: float) -> list[float]:
     """Elementwise ln(value + delta); strictly monotone, defined at zero."""
     if delta <= 0:
         raise ValueError(f"log shift requires delta > 0, got {delta}")
-    arr = np.asarray(values, dtype=float)
-    if arr.size and arr.min() < 0:
+    values = [float(v) for v in values]
+    if values and min(values) < 0:
         raise ValueError("log shift expects non-negative values")
-    return np.log(arr + delta).tolist()
+    return [log(v + delta) for v in values]
 
 
 def zero_skewness_delta(
@@ -64,22 +76,20 @@ def zero_skewness_delta(
 ) -> TransformSpec:
     """Solve ln(x + delta) for the delta that zeroes the sample skewness.
 
-    Bisection on delta -> skewness over ``bracket``; the upper end is doubled
-    up to ``BRACKET_CAP`` until the skewness changes sign. Without a sign
-    change the closer endpoint is reported with ``converged=False``.
+    Brent's method on ln(delta) -> skewness over ``bracket``; the upper end is
+    doubled up to ``BRACKET_CAP`` until the skewness changes sign. Without a
+    sign change the closer endpoint is reported with ``converged=False``.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size and arr.min() < 0:
+    values = [float(v) for v in values]
+    if values and min(values) < 0:
         raise ValueError("zero-skewness solve expects non-negative values")
-    # Distinct values counted from the sorted gaps: np.unique would import
-    # numpy.ma on its first call, a cost every default run would pay.
-    if np.count_nonzero(np.diff(np.sort(arr))) < 2:
+    if len(set(values)) < 3:  # 0.0 and -0.0 are one value
         raise DegenerateSample(
             "zero-skewness solve needs at least 3 distinct values"
         )
 
     def objective(delta: float) -> float:
-        return sample_skewness(np.log(arr + delta))
+        return sample_skewness([log(v + delta) for v in values])
 
     return solve_zero_skew(objective, bracket, tolerance)
 
@@ -89,7 +99,17 @@ def solve_zero_skew(
     bracket: tuple[float, float],
     tolerance: float,
 ) -> TransformSpec:
-    """Bracketed bisection of a skewness objective over positive shifts."""
+    """Root of a skewness objective over positive shifts, bracketed.
+
+    The upper end of ``bracket`` is doubled up to ``BRACKET_CAP`` until the
+    skewness changes sign. Brent's method (inverse quadratic interpolation,
+    secant steps, and bisection where those do not shrink the bracket fast
+    enough) then searches t = ln(delta), on which the skewness is close to
+    linear, and stops at the first shift with ``|skewness| <= tolerance``.
+    It also stops once the bracket is narrower than the spacing of floats at
+    t or delta, and then reports the shift with the smallest ``|skewness|``
+    seen.
+    """
     lo, hi = bracket
     if not (0 < lo < hi):
         raise ValueError("bracket must be a positive increasing interval")
@@ -110,15 +130,47 @@ def solve_zero_skew(
         return TransformSpec(hi, f_hi, searched, False)
 
     best, f_best = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+    # b is the latest estimate, a the one before it and c the end that keeps
+    # the root between b and c; d is the last step and e the one before it.
+    a, fa = log(lo), f_lo
+    b, fb = log(hi), f_hi
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(MAX_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        f_mid = objective(mid)
-        if abs(f_mid) < abs(f_best):
-            best, f_best = mid, f_mid
-        if abs(f_mid) <= tolerance:
-            return TransformSpec(mid, f_mid, searched, True)
-        if f_lo * f_mid <= 0:
-            hi, f_hi = mid, f_mid
+        if fb * fc > 0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        # A narrower bracket can no longer move t, or delta = exp(t), by a float.
+        step_min = float_info.epsilon * (2.0 * abs(b) + 0.5)
+        half = 0.5 * (c - b)
+        if abs(half) <= step_min:
+            break
+        if abs(e) >= step_min and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(step_min * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
         else:
-            lo, f_lo = mid, f_mid
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > step_min else copysign(step_min, half)
+        delta = exp(b)
+        fb = objective(delta)
+        if abs(fb) < abs(f_best):
+            best, f_best = delta, fb
+        if abs(fb) <= tolerance:
+            return TransformSpec(delta, fb, searched, True)
     return TransformSpec(best, f_best, searched, abs(f_best) <= tolerance)

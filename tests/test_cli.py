@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -235,6 +236,39 @@ def test_padded_ids_match_as_unpadded(tmp_path):
     assert main(assess_args(paths, padded, ["--quiet"])) == 0
     for name in ("report.json", "funnel.svg", "qq.svg", "caterpillar.svg"):
         assert (padded / name).read_bytes() == (plain / name).read_bytes()
+
+
+@pytest.mark.parametrize("padded_file", ["publications.csv", "baselines.csv"])
+def test_padded_subject_categories_match_as_unpadded(tmp_path, padded_file):
+    # A category is stripped as ids are, so it still finds its baseline.
+    plain, padded = tmp_path / "plain", tmp_path / "padded"
+    plain.mkdir(), padded.mkdir()
+    assert main(assess_args(write_fixture(plain), plain, ["--quiet"])) == 0
+    paths = write_fixture(padded)
+    path = padded / padded_file
+    text = path.read_text(encoding="utf-8")
+    assert text.count(",Biochemistry,") == text.count("\n") - 1
+    path.write_text(text.replace(",Biochemistry,", ", Biochemistry  ,"), encoding="utf-8")
+    assert main(assess_args(paths, padded, ["--quiet"])) == 0
+    for name in ("report.json", "funnel.svg", "qq.svg", "caterpillar.svg"):
+        assert (padded / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_field_over_the_csv_size_limit_is_a_parse_error(tmp_path, capsys):
+    # csv refuses a field over 131,072 characters; the run names the line the
+    # row starts on instead of ending in a traceback.
+    limit = csv.field_size_limit()
+    byline = ";".join(["1:a1:A"] + [f"{i}:-:ext{i % 30}" for i in range(2, 16_001)])
+    assert len(byline) > limit
+    paths = write_fixture(tmp_path, publication_rows=PUBLICATIONS + [("q17", 2008, 1, byline)])
+    assert main(assess_args(paths, tmp_path)) == 1
+    line = len(PUBLICATIONS) + 2
+    assert capsys.readouterr().err == (
+        f"error: {paths['publications']}:{line}: column 'publication_id': "
+        f"unreadable row: field larger than field limit ({limit})\n"
+    )
+    assert csv.field_size_limit() == limit
+    assert not (tmp_path / "report.json").exists()
 
 
 # Every check validation makes, but a duplicate researcher id, which the
@@ -557,6 +591,65 @@ def test_failure_while_building_a_later_output_leaves_no_output(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+NO_QQ_WARNING = (
+    "warning: no quantile plot (qq_points is empty): it needs at least 3 "
+    "institutions whose adjusted means are not all equal\n"
+)
+NO_SLOPE_WARNING = (
+    "warning: no size regression (size_slope is null): it needs at least 3 "
+    "institutions, not all of one size\n"
+)
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_skipped_diagnostics_are_warnings(tmp_path, capsys, quiet):
+    # Two institutions: the report is written without a quantile plot or a
+    # size regression, and the run says so on stderr, --quiet or not.
+    paths = write_fixture(
+        tmp_path,
+        [row for row in RESEARCHERS if row[1] != "C"],
+        [row for row in PUBLICATIONS if not row[3].endswith(":C")],
+    )
+    args = assess_args(paths, tmp_path, ["--quiet"] if quiet else [])
+    at = args.index("--qq-svg")
+    del args[at:at + 2]
+    assert main(args) == 0
+    assert capsys.readouterr().err == NO_QQ_WARNING + NO_SLOPE_WARNING
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["diagnostics"]["qq_points"] == []
+    assert report["diagnostics"]["size_slope"] is None
+    assert report["transform"]["converged"] is True
+
+
+def test_unconverged_shift_is_a_warning(tmp_path, capsys):
+    # Fourteen small values and one of 50,000: ln(x + delta) stays right-skewed
+    # for every delta up to the bracket cap, so the shift cannot converge.
+    researchers, publications = [], []
+    for i, citations in enumerate([*range(1, 15), 10**6]):
+        rid, inst = f"r{i:02d}", "ABC"[(i >= 4) + (i >= 9)]  # 4, 5 and 6 members
+        researchers.append((rid, inst, "Assistant", 4))
+        publications.append((f"p{i:02d}", 2008, citations, f"1:{rid}:{inst}"))
+    paths = write_fixture(tmp_path, researchers, publications)
+    config = tmp_path / "config.txt"
+    config.write_text("min_faculty=4\n", encoding="utf-8")
+    outputs = []
+    for quiet in (False, True):
+        out = tmp_path / str(quiet)
+        out.mkdir()
+        args = assess_args(paths, out, ["--config", str(config)] + ["--quiet"] * quiet)
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "warning: the zero-skewness shift did not converge: skewness 3.14 at "
+            "delta=1e-09 after searching [1e-09, 1e+06]"
+        )
+        assert err.count("\n") == 1 and err.endswith("\n")
+        outputs.append((out / "report.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    transform = json.loads(outputs[0])["transform"]
+    assert transform["converged"] is False and transform["delta"] == 1e-9
+
+
 def test_synth_into_a_path_under_a_file_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x", encoding="utf-8")
@@ -577,7 +670,7 @@ def run_python(script: str) -> list[str]:
 
 
 # Each costs a cold process milliseconds that the default pipeline has no use
-# for: numpy.ma comes with np.unique, the rest with xml.sax.saxutils.
+# for: numpy.ma came with np.unique, the rest with xml.sax.saxutils.
 UNUSED_MODULES = ("numpy.ma", "xml.sax", "urllib.request", "http.client", "ssl", "email")
 
 
@@ -590,6 +683,20 @@ def test_default_run_does_not_import_numpy_ma(tmp_path):
         f"print(code, *[name for name in {UNUSED_MODULES!r} if name in sys.modules])\n"
     )
     assert run_python(script) == ["0"]
+
+
+def test_neither_import_nor_assess_loads_numpy(tmp_path):
+    # Only synth draws random numbers. numpy would cost every assess run
+    # about 150 ms of start-up and 14 MB of peak RSS.
+    paths = write_fixture(tmp_path)
+    script = (
+        "import sys\n"
+        "import fssfunnel.cli\n"
+        "print('numpy' in sys.modules)\n"
+        f"code = fssfunnel.cli.main({assess_args(paths, tmp_path, ['--quiet'])!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert run_python(script) == ["False", "0", "False"]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1177,48 +1284,31 @@ def test_emit_report_rejects_a_non_finite_float_as_json_dumps_does(bad, where):
 
 
 # 2,000 institutions of 5 to 59 shifted lognormal values clipped at 0, as
-# synth draws FSS. With numpy 2.4 on an AVX-512 host, the two runs below
-# write one QQ coordinate and achieved_skewness in other last bits.
+# synth draws FSS, drawn without numpy so that nothing in the child can see
+# NPY_DISABLE_CPU_FEATURES unless the report path itself imports numpy.
 DISPATCH_REPORT = """
+import random
 import sys
-import numpy as np
 from fssfunnel.cli import emit_report
 from fssfunnel.funnel import build_funnel_report
 from fssfunnel.model import AssessmentConfig
-rng = np.random.default_rng(7)
+rng = random.Random(7)
 values = {
-    f"u{j:04d}": np.clip(rng.lognormal(-1.5, 1.0, rng.integers(5, 60)) - 0.05, 0, None).tolist()
+    f"u{j:04d}": [
+        max(rng.lognormvariate(-1.5, 1.0) - 0.05, 0.0) for _ in range(rng.randint(5, 59))
+    ]
     for j in range(2000)
 }
 sys.stdout.write(emit_report(build_funnel_report(values, AssessmentConfig(min_faculty=1))))
 """
 
 
-def assert_reports_agree(ours, theirs, tolerance, key=None):
-    """Equal structure, text, ints and flags; floats within 1e-12 relative,
-    ``achieved_skewness`` within the solver's tolerance."""
-    if isinstance(ours, dict):
-        assert list(ours) == list(theirs)
-        for name in ours:
-            assert_reports_agree(ours[name], theirs[name], tolerance, name)
-    elif isinstance(ours, list):
-        assert len(ours) == len(theirs), key
-        for mine, other in zip(ours, theirs):
-            assert_reports_agree(mine, other, tolerance, key)
-    elif isinstance(ours, float) and key == "achieved_skewness":
-        assert abs(ours - theirs) <= tolerance
-    elif isinstance(ours, float):
-        assert math.isclose(ours, theirs, rel_tol=1e-12, abs_tol=0.0), (key, ours, theirs)
-    else:
-        assert type(ours) is type(theirs) and ours == theirs, (key, ours, theirs)
-
-
-def test_cpu_dispatch_moves_report_numbers_only_in_the_last_bits():
+def test_cpu_dispatch_moves_no_report_byte():
     # numpy may dispatch np.log to an AVX-512 kernel that differs from the
-    # baseline kernel in the last bit, so the report's bytes are fixed per
-    # machine only. This pins how far they may move: labels, ranks, sizes and
-    # convergence never; every number by at most 1e-12 relative. Where numpy
-    # does not dispatch these features, the variable only warns.
+    # baseline kernel in the last bit. The report takes each log from the C
+    # library and each sum from math.fsum, so turning those kernels off must
+    # not move one byte; a report path that brought np.log back would fail
+    # here on an AVX-512 host.
     default = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fssfunnel.__file__)))
     default.pop("NPY_DISABLE_CPU_FEATURES", None)
     baseline = dict(default, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
@@ -1228,6 +1318,6 @@ def test_cpu_dispatch_moves_report_numbers_only_in_the_last_bits():
             [sys.executable, "-c", DISPATCH_REPORT],
             capture_output=True, text=True, env=env, check=True,
         )
-        reports.append(json.loads(result.stdout))
-    ours, theirs = reports
-    assert_reports_agree(ours, theirs, ours["config"]["skewness_tolerance"])
+        reports.append(result.stdout)
+    assert len(json.loads(reports[0])["institutions"]) == 2000
+    assert reports[0] == reports[1]

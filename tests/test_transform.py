@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from fssfunnel.cli import draw_fss_sample
 from fssfunnel.errors import DegenerateSample
 from fssfunnel.transform import (
+    MAX_ITERATIONS,
     log_shift_transform,
     sample_skewness,
+    solve_zero_skew,
     zero_skewness_delta,
 )
 
@@ -166,3 +168,36 @@ def test_zero_skewness_round_trip_property(delta0):
     spec = zero_skewness_delta(values)
     assert spec.converged
     assert spec.delta == pytest.approx(delta0, rel=1e-6)
+
+
+def test_solve_zero_skew_needs_few_evaluations_on_a_smooth_objective():
+    # Skewness that is linear in ln(delta): Brent's secant step lands on the
+    # root at once, where bisection of delta would take dozens of halvings.
+    calls = []
+
+    def objective(delta):
+        calls.append(delta)
+        return math.log(delta) - math.log(0.3)
+
+    spec = solve_zero_skew(objective, (1e-9, 10.0), 1e-9)
+    assert spec.converged and spec.delta == pytest.approx(0.3, rel=1e-9)
+    assert spec.bracket_used == (1e-9, 10.0)
+    assert len(calls) <= 4
+
+
+def test_solve_zero_skew_stops_when_the_bracket_collapses_on_a_jump():
+    # A sign change with no root: the bracket shrinks onto the jump, the
+    # solver stops there instead of running out its iterations, and the
+    # shift with the smallest |skewness| seen, the first on a tie, is
+    # reported as not converged.
+    calls = []
+
+    def objective(delta):
+        calls.append(delta)
+        return 1.0 if delta > 2.0 else -1.0
+
+    spec = solve_zero_skew(objective, (1e-9, 10.0), 1e-9)
+    assert not spec.converged
+    assert (spec.delta, spec.achieved_skewness) == (10.0, 1.0)
+    assert calls[-1] == pytest.approx(2.0, rel=1e-12)
+    assert len(calls) < MAX_ITERATIONS
