@@ -135,9 +135,18 @@ def _first_bad_byte(path: str) -> tuple[int, str, str]:
     return data.count(b"\n", 0, start) + 1, before, f"not UTF-8: byte 0x{data[start]:02x}"
 
 
+def _ascii_number(convert, text: str):
+    """``convert(text)``, ``convert`` being ``int`` or ``float``, of a cell.
+    Both also read ``_`` between digits and any Unicode digit (full-width,
+    Arabic-Indic); a cell takes neither, so both raise ValueError here."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return convert(text)
+
+
 def _parse_int(path: str, line: int, column: str, text: str, minimum: int) -> int:
     try:
-        value = int(text)
+        value = _ascii_number(int, text)
     except ValueError:
         raise ParseError(path, line, column, f"not an integer: {text!r}") from None
     if value < minimum:
@@ -243,7 +252,7 @@ def read_baselines_csv(path: str) -> CitationBaseline:
         category = category.strip()  # as in publications.csv
         year = _parse_int(path, line, "year", year_text, 0)
         try:
-            mean = float(mean_text)
+            mean = _ascii_number(float, mean_text)
         except ValueError:
             raise ParseError(
                 path, line, "mean_citations", f"not a number: {mean_text!r}"

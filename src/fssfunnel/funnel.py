@@ -9,7 +9,7 @@ institution outside the bands is a candidate outlier, not a ranked winner.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum, inf, log, sqrt
 from statistics import NormalDist
@@ -42,6 +42,10 @@ class PooledFit:
     pooled_sd: float
     total_n: int
     group_count: int
+    # The fitted effects: each group's mean, in the order of the groups.
+    # ``adjusted_means`` needs them; a fit built by hand for bands alone may
+    # leave them out.
+    group_means: tuple[float, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,9 @@ def fit_pooled(
     """Least-squares fit of the common-variance fixed-effects model.
 
     The pooled SD is the residual SD after subtracting each group mean:
-    sqrt(sum of within-group squared deviations / (N - J)). The mode may be
-    given as a member or as its string value.
+    sqrt(sum of within-group squared deviations / (N - J)). The group means
+    are kept in the fit, so no later stage sums a group again. The mode may
+    be given as a member or as its string value.
     """
     grand_mean_mode = GrandMeanMode(grand_mean_mode)
     if not groups:
@@ -98,7 +103,7 @@ def fit_pooled(
             f"(N={total_n}, J={group_count})"
         )
 
-    means = [_mean(values) for _, values in groups]
+    means = tuple(_mean(values) for _, values in groups)
     if grand_mean_mode is GrandMeanMode.INDIVIDUALS:
         grand_mean = fsum([v for _, values in groups for v in values]) / total_n
     else:
@@ -110,7 +115,7 @@ def fit_pooled(
         for v in values
     ])
     pooled_sd = sqrt(ss_within / (total_n - group_count))
-    return PooledFit(grand_mean, pooled_sd, total_n, group_count)
+    return PooledFit(grand_mean, pooled_sd, total_n, group_count, means)
 
 
 def confidence_bands(fit: PooledFit, n: int, level_z: float) -> BandPoint:
@@ -141,8 +146,12 @@ def classify_institution(mean: float, inner: BandPoint, outer: BandPoint) -> Cla
 
 def adjusted_means(groups: Groups, fit: PooledFit) -> list[float]:
     """sqrt(n_j) * (group mean - grand mean): rescales institution means to a
-    common SD so they can be normality-checked together."""
-    return [sqrt(len(values)) * (_mean(values) - fit.grand_mean) for _, values in groups]
+    common SD so they can be normality-checked together. ``fit`` is the fit
+    of ``groups``, whose group means it reuses."""
+    return [
+        sqrt(len(values)) * (mean - fit.grand_mean)
+        for (_, values), mean in zip(groups, fit.group_means, strict=True)
+    ]
 
 
 def qq_points(adjusted) -> list[tuple[float, float]]:
@@ -227,8 +236,8 @@ def build_funnel_report(
     # The bands depend on the size alone, so institutions of one size share them.
     bands_by_size: dict[int, tuple[BandPoint, BandPoint]] = {}
     summaries = []
-    for (inst, values), (_, original) in zip(transformed_groups, original_groups):
-        n = len(values)
+    for (inst, original), mean_t in zip(original_groups, fit.group_means):
+        n = len(original)
         bands = bands_by_size.get(n)
         if bands is None:
             bands = bands_by_size[n] = (
@@ -236,7 +245,6 @@ def build_funnel_report(
                 confidence_bands(fit, n, config.outer_z),
             )
         inner, outer = bands
-        mean_t = _mean(values)
         summaries.append(
             InstitutionSummary(
                 institution_id=inst,

@@ -121,7 +121,7 @@ def researcher_fss(
             continue
         weights = fractional_weights(pub.authors, config.weighting_scheme)
         try:
-            index = pub.first_slots[researcher.researcher_id]
+            index = pub.first_slot(researcher.researcher_id)
         except KeyError:
             raise ValueError(
                 f"publication {pub.publication_id!r} is not authored by "

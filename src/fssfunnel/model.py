@@ -96,8 +96,9 @@ class PublicationRecord:
     subject_category: str
     citations: int
     authors: tuple[AuthorSlot, ...]
-    # Filled by ``first_slots`` on first use.
-    _first_slots: dict[str, int] | None = field(
+    # None until a researcher asks ``first_slot``; then the first asker's
+    # slot index, and the full ``first_slots`` map once a second one asks.
+    _first_slots: int | dict[str, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -108,12 +109,30 @@ class PublicationRecord:
             raise ValueError("publication_id must not be blank")
         object.__setattr__(self, "authors", tuple(self.authors))
 
+    def first_slot(self, researcher_id: str) -> int:
+        """Index of the researcher's first byline slot; KeyError if it has none.
+
+        Most bylines list one assessed researcher, so the first to ask keeps
+        only its own index; the map is built when a second, different
+        researcher asks. A byline read by all of its A authors is walked
+        twice in all, not A times."""
+        memo = self._first_slots
+        if memo is None:
+            for i, slot in enumerate(self.authors):
+                if slot.researcher_id == researcher_id:
+                    object.__setattr__(self, "_first_slots", i)
+                    return i
+            raise KeyError(researcher_id)
+        if type(memo) is int and self.authors[memo].researcher_id == researcher_id:
+            return memo
+        return self.first_slots[researcher_id]
+
     @property
     def first_slots(self) -> dict[str, int]:
         """Researcher id -> index of that researcher's first byline slot.
         Built on first use; authors outside the population are not keys."""
         index = self._first_slots
-        if index is None:
+        if type(index) is not dict:
             index = {}
             for i, slot in enumerate(self.authors):
                 if slot.researcher_id is not None:
@@ -266,16 +285,19 @@ def validate_dataset(
         if r.years_active > config.period_length
     ]
 
-    errors.extend(
-        DuplicateResearcherId(rid) for rid in _repeated(r.researcher_id for r in researchers)
-    )
+    known_ids = {rec.researcher_id for rec in researchers}
+    # The one id set says whether any id repeats; only then is the walk that
+    # names the repeats worth a second set.
+    if len(known_ids) < len(researchers):
+        errors.extend(
+            DuplicateResearcherId(rid) for rid in _repeated(r.researcher_id for r in researchers)
+        )
     errors.extend(
         DuplicatePublicationId(pid) for pid in _repeated(p.publication_id for p in publications)
     )
 
-    known_ids = {rec.researcher_id for rec in researchers}
     missing_baselines: set[tuple[int, str]] = set()
-    by_researcher: dict[str, list[PublicationRecord]] = {}
+    by_researcher: dict[str, list[PublicationRecord] | tuple[PublicationRecord, ...]] = {}
     for pub in publications:
         listed = [s.researcher_id for s in pub.authors if s.researcher_id is not None]
         errors.extend(_author_list_violations(pub, listed, known_ids))
@@ -291,10 +313,12 @@ def validate_dataset(
     if errors:
         raise ValidationErrors(errors)
     # Publication-id order makes each FSS sum independent of row order; a
-    # tuple drops the spare capacity a list would keep through scoring.
-    return {
-        rid: tuple(sorted(pubs, key=_PUBLICATION_ID)) for rid, pubs in by_researcher.items()
-    }
+    # tuple drops the spare capacity a list would keep through scoring. Each
+    # list is replaced in place, so it is freed before the next is copied.
+    for rid, pubs in by_researcher.items():
+        pubs.sort(key=_PUBLICATION_ID)
+        by_researcher[rid] = tuple(pubs)
+    return by_researcher
 
 
 def _repeated(ids) -> list[str]:

@@ -964,6 +964,70 @@ def test_publication_errors_name_the_file_line_after_a_multiline_field(tmp_path)
     assert str(caught.value) == f"{path}:5: column 'year': not an integer: 'round8'"
 
 
+NUMBER_FILES = {
+    "researchers": ("researcher_id,institution_id,field_code,rank,years_active",
+                    "r1,U01,Biochemistry,Full,{}"),
+    "publications": ("publication_id,year,subject_category,citations,authors",
+                     "q01,{},Biochemistry,8,1:r1:U01"),
+    "citations": ("publication_id,year,subject_category,citations,authors",
+                  "q01,2009,Biochemistry,{},1:r1:U01"),
+    "byline": ("publication_id,year,subject_category,citations,authors",
+               "q01,2009,Biochemistry,8,{}:r1:U01"),
+    "baselines": ("year,subject_category,mean_citations", "{},Biochemistry,5"),
+    "means": ("year,subject_category,mean_citations", "2009,Biochemistry,{}"),
+}
+READERS = {
+    "researchers": read_researchers_csv,
+    "publications": read_publications_csv,
+    "citations": read_publications_csv,
+    "byline": read_publications_csv,
+    "baselines": read_baselines_csv,
+    "means": read_baselines_csv,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("researchers", "0_3", "column 'years_active': not an integer: '0_3'"),
+        ("researchers", "\uff14", "column 'years_active': not an integer: '\uff14'"),
+        ("researchers", "\u0663", "column 'years_active': not an integer: '\u0663'"),
+        ("publications", "2_009", "column 'year': not an integer: '2_009'"),
+        ("citations", "1_0", "column 'citations': not an integer: '1_0'"),
+        ("byline", "1_0", "column 'authors': not an integer: '1_0'"),
+        ("baselines", "2_009", "column 'year': not an integer: '2_009'"),
+        ("means", "1_0.5", "column 'mean_citations': not a number: '1_0.5'"),
+        ("means", "\uff11\uff10", "column 'mean_citations': not a number: '\uff11\uff10'"),
+    ],
+    ids=[
+        "years-underscore", "years-full-width", "years-arabic-indic", "year-underscore",
+        "citations-underscore", "position-underscore", "baseline-year-underscore",
+        "mean-underscore", "mean-full-width",
+    ],
+)
+def test_number_cells_take_ascii_digits_only(tmp_path, kind, text, message):
+    header, row = NUMBER_FILES[kind]
+    path = tmp_path / "cells.csv"
+    path.write_text(f"{header}\n{row.format(text)}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        READERS[kind](str(path))
+    assert str(caught.value) == f"{path}:2: {message}"
+
+
+def test_number_cells_take_padding_and_a_sign(tmp_path):
+    header, row = NUMBER_FILES["researchers"]
+    path = tmp_path / "researchers.csv"
+    path.write_text(f"{header}\n{row.format(' +3 ')}\n", encoding="utf-8")
+    assert read_researchers_csv(str(path))[0].years_active == 3
+    path.write_text(f"{header}\n{row.format('-1')}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"column 'years_active': must be >= 0, got -1$"):
+        read_researchers_csv(str(path))
+    header, row = NUMBER_FILES["means"]
+    path = tmp_path / "baselines.csv"
+    path.write_text(f"{header}\n{row.format(' 1.5e1 ')}\n", encoding="utf-8")
+    assert read_baselines_csv(str(path)).entries == {(2009, "Biochemistry"): 15.0}
+
+
 # Each bad cell sits on line 3, after line 2 parsed slots of similar text.
 VALID_BYLINE = "1:a1:A;2:a2:A;3:-:X"
 

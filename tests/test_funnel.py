@@ -174,7 +174,9 @@ def test_classification_matches_raw_band_arithmetic():
 
 def test_adjusted_means_examples():
     groups = [("A", [1.0, 1.0, 1.0, 1.0]), ("B", [1.5, 1.5, 1.5, 1.5])]
-    fit = PooledFit(grand_mean=1.0, pooled_sd=0.5, total_n=8, group_count=2)
+    fit = PooledFit(
+        grand_mean=1.0, pooled_sd=0.5, total_n=8, group_count=2, group_means=(1.0, 1.5)
+    )
     adjusted = adjusted_means(groups, fit)
     assert adjusted[0] == pytest.approx(0.0, abs=1e-12)
     assert adjusted[1] == pytest.approx(1.0, abs=1e-12)  # sqrt(4) * 0.5
@@ -354,6 +356,28 @@ def test_report_exposes_both_scales_and_consistent_summaries(monkeypatch):
     assert report.rankings[best.institution_id] == 1
 
 
+@pytest.mark.parametrize("grand_mean_mode", list(GrandMeanMode))
+@pytest.mark.parametrize("skewness_target", list(SkewnessTarget))
+def test_report_sums_each_institution_once(monkeypatch, grand_mean_mode, skewness_target):
+    rng = np.random.default_rng(14)
+    data = {
+        f"u{j:02d}": list(rng.lognormal(-1.5, 0.8, size=rng.integers(5, 40)))
+        for j in range(12)
+    }
+    summed = []
+    mean = funnel._mean
+
+    def recorded(values):
+        summed.append(values)  # kept alive, so no two ids coincide
+        return mean(values)
+
+    monkeypatch.setattr(funnel, "_mean", recorded)
+    config = AssessmentConfig(grand_mean_mode=grand_mean_mode, skewness_target=skewness_target)
+    report = build_funnel_report(data, config)
+    assert len({id(values) for values in summed}) == len(summed)
+    assert [s.mean_transformed for s in report.summaries] == list(report.fit.group_means)
+
+
 def test_report_means_level_skewness_target():
     rng = np.random.default_rng(30)
     data = {
@@ -405,7 +429,9 @@ def _funnel_one_institution_at_a_time(groups, config):
     ss_within = math.fsum(
         (v - m) * (v - m) for values, m in zip(logged, means) for v in values
     )
-    fit = PooledFit(grand_mean, math.sqrt(ss_within / (total_n - count)), total_n, count)
+    fit = PooledFit(
+        grand_mean, math.sqrt(ss_within / (total_n - count)), total_n, count, tuple(means)
+    )
     adjusted = tuple(
         math.sqrt(len(values)) * (m - grand_mean) for values, m in zip(logged, means)
     )

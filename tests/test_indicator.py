@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from fssfunnel import indicator
 from fssfunnel.errors import MissingBaseline
 from fssfunnel.funnel import build_funnel_report
 from fssfunnel.indicator import fractional_weights, researcher_fss
-from fssfunnel.model import AssessmentConfig, Rank, WeightingScheme
+from fssfunnel.model import AssessmentConfig, Rank, WeightingScheme, validate_dataset
 from helpers import baseline, byline, publication, researcher
 
 affiliations = st.lists(
@@ -315,6 +316,89 @@ def test_long_byline_builds_weights_once_per_distinct_key(monkeypatch):
     # scheme; one vector per key in all, the uniform one ignoring position.
     assert builds == [(2000, True), (2000, False)]
     assert indicator._weights_for.cache_info().misses == 4
+
+
+def _one_researcher_per_byline(count):
+    """``count`` researchers, each the one assessed author of their own
+    byline among external co-authors, and the index validation returns."""
+    recs = [researcher(f"r{i:04d}", years=1) for i in range(count)]
+    pubs = []
+    for i, rec in enumerate(recs):
+        ids = [None] * (1 + i % 5)
+        ids[i % len(ids)] = rec.researcher_id
+        authors = byline(*["u01"] * len(ids), researcher_ids=ids)
+        pubs.append(publication(f"p{i:04d}", i % 9, authors))
+    index = validate_dataset(recs, pubs, baseline(), CONFIG)
+    return recs, pubs, index
+
+
+def test_bylines_read_by_one_researcher_hold_no_map():
+    recs, pubs, index = _one_researcher_per_byline(200)
+    for rec in recs:
+        researcher_fss(rec, index[rec.researcher_id], baseline(), CONFIG)
+    # Each memo is its one researcher's slot index, and no map was built.
+    assert [pub._first_slots for pub in pubs] == [
+        [slot.researcher_id for slot in pub.authors].index(rec.researcher_id)
+        for rec, pub in zip(recs, pubs)
+    ]
+
+
+def test_scoring_a_one_researcher_byline_allocates_well_under_a_dict():
+    # Weight vectors are cached per byline shape, so a first set of bylines
+    # of the same shapes fills that cache before memory is traced.
+    recs, pubs, index = _one_researcher_per_byline(2000)
+    for rec in recs[:10]:
+        researcher_fss(rec, index[rec.researcher_id], baseline(), CONFIG)
+    recs, pubs, index = _one_researcher_per_byline(2000)
+    entries = baseline()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for rec in recs:
+            researcher_fss(rec, index[rec.researcher_id], entries, CONFIG)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # A one-key dict alone takes about 200 bytes.
+    assert grown / len(pubs) < 50
+
+
+def test_all_authors_of_a_long_byline_share_one_map():
+    ids = [f"r{i:04d}" for i in range(2000)]
+    recs = [researcher(rid, years=1) for rid in ids]
+    pub = publication("p1", 7, byline(*["u01"] * 1999, "u02", researcher_ids=ids))
+    entries = baseline()
+    scores = [researcher_fss(recs[0], [pub], entries, CONFIG)]
+    assert pub._first_slots == 0
+    scores.append(researcher_fss(recs[1], [pub], entries, CONFIG))
+    built = pub._first_slots
+    assert built == {rid: i for i, rid in enumerate(ids)}
+    scores += [researcher_fss(rec, [pub], entries, CONFIG) for rec in recs[2:]]
+    assert pub._first_slots is built
+    expected = [_reference_fss(rec, [pub], entries, CONFIG) for rec in recs]
+    assert scores == expected
+
+
+@pytest.mark.parametrize("askers", [["r1", "r2"], ["r2", "r1"], ["r1", "r1", "r2"]])
+def test_the_first_slot_wins_whoever_asks_first(askers):
+    # Unvalidated, as on the library path: r1 holds slots 0 and 2.
+    authors = byline("u01", "u02", "u01", researcher_ids=["r1", "r2", "r1"])
+    pub = publication("p1", 10, authors)
+    slots = {"r1": 0, "r2": 1}
+    for rid in askers:
+        assert pub.first_slot(rid) == slots[rid]
+    assert pub.first_slot("r1") == 0
+    assert pub.first_slots == slots
+
+
+def test_a_researcher_off_the_byline_leaves_the_memo_as_it_was():
+    pub = publication("p1", 10, byline("u01", "u02", researcher_ids=["r1", None]))
+    with pytest.raises(KeyError):
+        pub.first_slot("r2")
+    assert pub._first_slots is None
+    assert pub.first_slot("r1") == 0
+    with pytest.raises(KeyError):
+        pub.first_slot("r2")
 
 
 # Institution means are taken by build_funnel_report from these values.

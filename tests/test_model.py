@@ -382,6 +382,11 @@ def test_first_slots_memo_is_no_part_of_the_record():
         return publication("p1", 3, authors)
 
     built, fresh = repeated_author(), repeated_author()
+    # One researcher's slot index, before any map is built.
+    assert built.first_slot("r2") == 1
+    assert built == fresh
+    assert hash(built) == hash(fresh)
+    assert repr(built) == repr(fresh)
     # The first slot wins for a repeated id; the memo is built once.
     assert built.first_slots == {"r1": 0, "r2": 1}
     assert built.first_slots is built.first_slots
