@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fssfunnel.cli import draw_fss_sample
+from fssfunnel.synth import draw_fss_sample
 from fssfunnel.errors import DegenerateSample
 from fssfunnel.transform import (
     MAX_ITERATIONS,
@@ -42,7 +42,7 @@ def test_skewness_degenerate_samples(values):
     st.floats(min_value=-50, max_value=50),
     st.sampled_from([-1.0, 1.0]),
 )
-@settings(max_examples=150)
+@settings(max_examples=150, derandomize=True)
 def test_skewness_scale_equivariance(values, scale, offset, sign):
     arr = np.asarray(values)
     if arr.size < 3 or np.ptp(arr) < 1e-3:
@@ -78,7 +78,7 @@ def test_log_shift_rejects_negative_values():
        st.floats(min_value=1e-6, max_value=100))
 @example(values=[1.034e-21, 0.0], delta=1e-6)
 @example(values=[1000000.0, 999999.9999999999], delta=1.0)
-@settings(max_examples=150)
+@settings(max_examples=150, derandomize=True)
 def test_log_shift_preserves_ranking(values, delta):
     # At float resolution the shift and the log can map distinct values to
     # equal ones, so order is strict only where no two results tie.
