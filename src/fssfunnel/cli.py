@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import AssessmentError, IoError, ParseError, ValidationErrors
-from .funnel import FunnelReport, build_funnel_report
+from .funnel import Classification, FunnelReport, build_funnel_report
 from .indicator import researcher_fss
 from .model import (
     AssessmentConfig,
@@ -151,11 +151,13 @@ def _parse_int(path: str, line: int, column: str, text: str, minimum: int) -> in
 
 
 def read_researchers_csv(path: str) -> list[ResearcherRecord]:
-    """Researchers in file order. Institution ids and field codes repeat
-    down the file, so each distinct text is held once per call."""
+    """Researchers in file order. Institution ids, field codes and tenures
+    repeat down the file, so each distinct id or code is held, and each
+    distinct ``years_active`` text converted, once per call."""
     records = []
     seen: dict[str, int] = {}
     shared: dict[str, str] = {}
+    tenures: dict[str, int] = {}
     for line, row in _read_rows(path, RESEARCHER_HEADER):
         rid, inst, field_code, rank_text, years_text = row
         # Stripped as the ids in a byline slot are, so the two still match.
@@ -175,7 +177,9 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
                 path, line, "rank",
                 f"expected one of Assistant/Associate/Full, got {rank_text!r}",
             )
-        years = _parse_int(path, line, "years_active", years_text, 0)
+        years = tenures.get(years_text)
+        if years is None:
+            years = tenures[years_text] = _parse_int(path, line, "years_active", years_text, 0)
         records.append(ResearcherRecord(
             rid, shared.setdefault(inst, inst), shared.setdefault(field_code, field_code),
             rank, years,
@@ -210,16 +214,16 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
     """Publications in file order, each byline sorted by position.
 
     An external slot's text (``2:-:ext07``) recurs across bylines, so each
-    distinct one is parsed once per call and its frozen slot shared; only
-    slots that parsed cleanly are kept. A researcher's slot text seldom
-    recurs (on the benchmark's ``bulk`` input, seed 3, 21,078 of 24,757 are
-    distinct, where 93,455 external slots hold 4,372 texts), so it is parsed
-    where it occurs and never memoized. Years, subject categories and the
-    ids inside slots repeat, so each distinct value is held once per call."""
+    distinct one is parsed once per call and its frozen slot shared. A
+    researcher's slot text seldom recurs (on the benchmark's ``bulk`` input,
+    seed 3, 21,078 of 24,757 are distinct, where 93,455 external slots hold
+    4,372 texts), so it is parsed where it occurs and never memoized. Each
+    distinct year text is converted, and each category and id held, once
+    per call. Only clean values are memoized, so a bad text fails at its line."""
     records = []
     external: dict[str, AuthorSlot] = {}
-    # str and int keys never collide, so one dict serves every shared value.
-    shared: dict = {}
+    shared: dict[str, str] = {}
+    years: dict[str, int] = {}
     for line, row in _read_rows(path, PUBLICATION_HEADER):
         pid, year_text, category, citations_text, authors_cell = row
         # Stripped as researcher ids are, so a padded copy is still a duplicate
@@ -227,7 +231,9 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
         pid, category = pid.strip(), category.strip()
         if not pid:
             raise ParseError(path, line, "publication_id", "must not be blank")
-        year = _parse_int(path, line, "year", year_text, 0)
+        year = years.get(year_text)
+        if year is None:
+            year = years[year_text] = _parse_int(path, line, "year", year_text, 0)
         citations = _parse_int(path, line, "citations", citations_text, 0)
         authors = []
         for part in authors_cell.split(";"):
@@ -239,7 +245,7 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
             authors.append(slot)
         authors.sort(key=_POSITION)
         records.append(PublicationRecord(
-            pid, shared.setdefault(year, year), shared.setdefault(category, category),
+            pid, year, shared.setdefault(category, category),
             citations, tuple(authors),
         ))
     return records
@@ -460,8 +466,9 @@ def emit_report(report: FunnelReport) -> str:
 
     The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``,
     which writes the small config, transform and fit blocks; a non-finite
-    float raises the same ValueError. Every piece, each institution entry
-    included, goes to one final join, so the text is copied once."""
+    float raises the same ValueError. Each distinct band's text is written
+    once. Every piece, each institution entry included, goes to one final
+    join, so the text is copied once."""
     head = json.dumps(
         {
             "config": {
@@ -484,6 +491,16 @@ def emit_report(report: FunnelReport) -> str:
         allow_nan=False,
     )
     rankings = report.rankings
+    # Written on first use, so a non-finite value raises where json.dumps
+    # would. Keyed by id: the report keeps every band alive.
+    band_texts: dict[int, str] = {}
+
+    def band(point) -> str:
+        text = band_texts.get(id(point))
+        if text is None:
+            text = band_texts[id(point)] = _band(point)
+        return text
+
     pieces = [head[:-2], ',\n  "institutions": ']  # head without the closing "\n}"
     _array(pieces, (
         _INSTITUTION % (
@@ -492,8 +509,8 @@ def emit_report(report: FunnelReport) -> str:
             _number(s.mean_original),
             _number(s.mean_transformed),
             encode_basestring_ascii(s.classification.value),
-            _band(s.inner_band),
-            _band(s.outer_band),
+            band(s.inner_band),
+            band(s.outer_band),
             rankings[s.institution_id],
         )
         for s in report.summaries
@@ -674,7 +691,7 @@ def run_assessment(args: argparse.Namespace) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if not args.quiet:
         flagged = sum(
-            1 for s in report.summaries if s.classification.value != "within"
+            1 for s in report.summaries if s.classification is not Classification.WITHIN
         )
         print(
             f"assessed {report.fit.total_n} researchers in "

@@ -69,7 +69,8 @@ class ResearcherRecord:
             raise ValueError("researcher_id and institution_id must not be blank")
         # As AssessmentConfig coerces its Enum fields: a member passes, a
         # value maps to its member and anything else raises ValueError.
-        object.__setattr__(self, "rank", Rank(self.rank))
+        if not isinstance(self.rank, Rank):
+            object.__setattr__(self, "rank", Rank(self.rank))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +108,8 @@ class PublicationRecord:
             raise ValueError(f"citations must be >= 0, got {self.citations}")
         if not self.publication_id.strip():
             raise ValueError("publication_id must not be blank")
-        object.__setattr__(self, "authors", tuple(self.authors))
+        if type(self.authors) is not tuple:
+            object.__setattr__(self, "authors", tuple(self.authors))
 
     def first_slot(self, researcher_id: str) -> int:
         """Index of the researcher's first byline slot; KeyError if it has none.

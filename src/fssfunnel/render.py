@@ -145,11 +145,16 @@ def _axes(frame: _Frame, x_ticks, y_ticks,
     return parts
 
 
-def _marker(x: float, y: float, cls: Classification) -> str:
-    return (
-        f'<circle class="marker {cls.value}" cx="{_px(x)}" cy="{_px(y)}" '
-        f'r="{POINT_RADIUS}" fill="{MARKER_COLORS[cls]}" stroke="#ffffff" stroke-width="0.8"/>'
-    )
+# Per-point elements, one marker per classification; ``%.2f`` writes what _px does.
+_MARKER = {
+    cls: f'<circle class="marker {cls.value}" cx="%.2f" cy="%.2f" '
+         f'r="{POINT_RADIUS}" fill="{color}" stroke="#ffffff" stroke-width="0.8"/>'
+    for cls, color in MARKER_COLORS.items()
+}
+_INTERVAL = (
+    '<line class="interval" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+    f'stroke="{BAND_COLOR}" stroke-width="1.2"/>'
+)
 
 
 def _polyline(points, cls: str, dashed: bool) -> str:
@@ -218,11 +223,10 @@ def render_funnel_svg(report: FunnelReport) -> str:
         f'stroke-width="1.4"/>'
     )
 
-    for summary in report.summaries:
-        parts.append(
-            _marker(frame.x(summary.size), frame.y(summary.mean_transformed),
-                    summary.classification)
-        )
+    parts += [
+        _MARKER[s.classification] % (frame.x(s.size), frame.y(s.mean_transformed))
+        for s in report.summaries
+    ]
     parts.append("</svg>\n")
     return "\n".join(parts)
 
@@ -244,10 +248,11 @@ def render_qq_svg(report: FunnelReport) -> str:
         f'x2="{_px(frame.x(hi))}" y2="{_px(frame.y(hi))}" stroke="{MEAN_COLOR}" '
         f'stroke-width="1" stroke-dasharray="5,3"/>'
     )
-    for theoretical, sample in report.qq_points:
-        parts.append(
-            _marker(frame.x(theoretical), frame.y(sample), Classification.WITHIN)
-        )
+    marker = _MARKER[Classification.WITHIN]
+    parts += [
+        marker % (frame.x(theoretical), frame.y(sample))
+        for theoretical, sample in report.qq_points
+    ]
     parts.append("</svg>\n")
     return "\n".join(parts)
 
@@ -293,13 +298,10 @@ def render_caterpillar_svg(report: FunnelReport) -> str:
     )
     for i, (summary, h) in enumerate(zip(ordered, half), start=1):
         x = frame.x(float(i))
-        parts.append(
-            f'<line class="interval" x1="{_px(x)}" y1="{_px(frame.y(summary.mean_transformed - h))}" '
-            f'x2="{_px(x)}" y2="{_px(frame.y(summary.mean_transformed + h))}" '
-            f'stroke="{BAND_COLOR}" stroke-width="1.2"/>'
-        )
-        parts.append(
-            _marker(x, frame.y(summary.mean_transformed), summary.classification)
+        mean = summary.mean_transformed
+        parts += (
+            _INTERVAL % (x, frame.y(mean - h), x, frame.y(mean + h)),
+            _MARKER[summary.classification] % (x, frame.y(mean)),
         )
     parts.append("</svg>\n")
     return "\n".join(parts)

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fssfunnel
+from fssfunnel import cli
 from fssfunnel.cli import (
     RANK_CAVEAT,
     emit_report,
@@ -1053,6 +1055,26 @@ def test_number_cells_take_padding_and_a_sign(tmp_path):
     assert read_baselines_csv(str(path)).entries == {(2009, "Biochemistry"): 15.0}
 
 
+@pytest.mark.parametrize(
+    "kind, good, bad, message",
+    [
+        ("researchers", "r1,U01,Biochemistry,Full,3", "r2,U01,Biochemistry,Full,\uff13",
+         "column 'years_active': not an integer: '\uff13'"),
+        ("publications", "q01,2009,Biochemistry,8,1:r1:U01", "q02,20_09,Biochemistry,8,1:r1:U01",
+         "column 'year': not an integer: '20_09'"),
+    ],
+)
+def test_a_bad_number_after_a_good_one_fails_at_its_own_line(
+    tmp_path, kind, good, bad, message
+):
+    # Each distinct number text is converted once per call; a bad one is never kept.
+    path = tmp_path / "cells.csv"
+    path.write_text(f"{NUMBER_FILES[kind][0]}\n{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        READERS[kind](str(path))
+    assert str(caught.value) == f"{path}:3: {message}"
+
+
 # Each bad cell sits on line 3, after line 2 parsed slots of similar text.
 VALID_BYLINE = "1:a1:A;2:a2:A;3:-:X"
 
@@ -1220,6 +1242,22 @@ def test_int_band_levels_emit_the_bytes_of_float_levels():
     assert emit_report(make_report(values, band_z_levels=(2, 3))) == emit_report(
         make_report(values, band_z_levels=(2.0, 3.0))
     )
+
+
+def test_emit_report_writes_each_distinct_band_once(monkeypatch):
+    # 2,000 institutions of two sizes share four bands: inner and outer at each size.
+    rng = random.Random(5)
+    report = make_report({
+        f"u{j:04d}": [rng.lognormvariate(-1.5, 0.7) for _ in range(2 + j % 2)]
+        for j in range(2000)
+    })
+    assert len({id(b) for s in report.summaries for b in (s.inner_band, s.outer_band)}) == 4
+    calls = []
+    band = cli._band
+    monkeypatch.setattr(cli, "_band", lambda point: calls.append(point) or band(point))
+    text = emit_report(report)
+    assert len(calls) == 4
+    assert text == dumped(report)
 
 
 # The report's JSON as json.dumps writes it from a plain payload: the oracle

@@ -274,6 +274,13 @@ def test_researcher_record_rejects_negative_years():
         researcher("r1", years=-1)
 
 
+def test_publication_record_stores_a_list_byline_as_a_tuple():
+    authors = list(byline("u01", "u02", researcher_ids=["r1", None]))
+    record = PublicationRecord("p1", 2008, "Biochemistry", 3, authors)
+    assert type(record.authors) is tuple
+    assert record.authors == tuple(authors)
+
+
 def test_publication_record_rejects_negative_citations():
     with pytest.raises(ValueError):
         publication("p1", -3, byline("u01"))

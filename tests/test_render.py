@@ -4,11 +4,17 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from statistics import NormalDist
 
+from fssfunnel import render
 from fssfunnel.errors import DegenerateSample
 from fssfunnel.funnel import (
+    BandPoint,
+    Classification,
     FunnelReport,
+    InstitutionSummary,
     PooledFit,
     confidence_bands,
     qq_points,
@@ -228,3 +234,90 @@ def test_all_documents_are_well_formed_xml_with_declared_size():
         assert root.tag.endswith("svg")
         assert root.get("width") == str(WIDTH)
         assert root.get("height") == str(HEIGHT)
+
+
+def _two_size_report(count):
+    """``count`` institutions of 2 or 3 values each, as on the ``wide`` input."""
+    rng = np.random.default_rng(17)
+    return make_report({
+        f"u{j:05d}": list(rng.lognormal(-1.5, 0.7, 2 + j % 2)) for j in range(count)
+    })
+
+
+def _px_calls_beside_ticks(report, monkeypatch):
+    """Numbers the three figures write through ``_px``, less the 6 of each
+    tick (4 for its line, 2 for its label): a wider data range can add ticks."""
+    calls = []
+    px = render._px
+    with monkeypatch.context() as patch:
+        patch.setattr(render, "_px", lambda value: calls.append(value) or px(value))
+        svgs = [render_funnel_svg(report), render_qq_svg(report), render_caterpillar_svg(report)]
+    return len(calls) - 6 * sum(svg.count('<line class="tick"') for svg in svgs)
+
+
+def test_per_point_elements_format_no_number_through_px(monkeypatch):
+    # Markers and intervals are filled from templates, so twice the
+    # institutions, of the same two sizes, send no more numbers through _px.
+    single = _px_calls_beside_ticks(_two_size_report(1000), monkeypatch)
+    assert _px_calls_beside_ticks(_two_size_report(2000), monkeypatch) == single
+
+
+@given(st.floats())
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072e-308)
+@example(1e308)
+@example(0.005)
+@example(-0.004999)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_template_number_text_is_px(value):
+    assert "%.2f" % value == render._px(value)
+
+
+def _one_institution_per_class():
+    inner, outer = BandPoint(4, 2.0, -1.0, 1.0), BandPoint(4, 3.0, -1.5, 1.5)
+    means = {
+        Classification.BELOW_OUTER: -2.0, Classification.BELOW_INNER: -1.25,
+        Classification.WITHIN: 0.0, Classification.ABOVE_INNER: 1.25,
+        Classification.ABOVE_OUTER: 2.0,
+    }
+    summaries = tuple(
+        InstitutionSummary(f"u{i}", 4, mean, mean, cls, inner, outer)
+        for i, (cls, mean) in enumerate(means.items())
+    )
+    return FunnelReport(
+        fit=PooledFit(0.0, 1.0, 20, 5),
+        transform=TransformSpec(0.01, 0.0, (1e-9, 10.0), True),
+        summaries=summaries,
+        qq_points=None,
+        size_slope=None,
+        rankings={s.institution_id: i for i, s in enumerate(summaries, start=1)},
+        config=AssessmentConfig(),
+    )
+
+
+def _lines_starting(svg, prefix):
+    return [line for line in svg.splitlines() if line.startswith(prefix)]
+
+
+def test_marker_and_interval_elements_are_pinned():
+    report = _one_institution_per_class()
+    assert _lines_starting(render_funnel_svg(report), "<circle") == [
+        '<circle class="marker below_outer" cx="590.67" cy="430.62" r="3.5" '
+        'fill="#7b241c" stroke="#ffffff" stroke-width="0.8"/>',
+        '<circle class="marker below_inner" cx="590.67" cy="363.26" r="3.5" '
+        'fill="#c0392b" stroke="#ffffff" stroke-width="0.8"/>',
+        '<circle class="marker within" cx="590.67" cy="251.00" r="3.5" '
+        'fill="#4878a8" stroke="#ffffff" stroke-width="0.8"/>',
+        '<circle class="marker above_inner" cx="590.67" cy="138.74" r="3.5" '
+        'fill="#2e8540" stroke="#ffffff" stroke-width="0.8"/>',
+        '<circle class="marker above_outer" cx="590.67" cy="71.38" r="3.5" '
+        'fill="#1b5e20" stroke="#ffffff" stroke-width="0.8"/>',
+    ]
+    assert _lines_starting(render_caterpillar_svg(report), '<line class="interval"')[0] == (
+        '<line class="interval" x1="169.33" y1="441.52" x2="169.33" y2="314.51" '
+        'stroke="#707070" stroke-width="1.2"/>'
+    )
