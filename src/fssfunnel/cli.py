@@ -196,10 +196,10 @@ def _parse_slot(path: str, line: int, part: str, shared: dict) -> AuthorSlot:
         )
     pos_text, rid, inst = fields
     position = _parse_int(path, line, "authors", pos_text.strip(), 1)
-    inst = inst.strip()
-    if not inst:
-        raise ParseError(path, line, "authors", f"slot {part!r} has no institution")
-    rid = rid.strip()
+    rid, inst = rid.strip(), inst.strip()
+    if not rid or not inst:
+        missing = "institution" if rid else "researcher id"
+        raise ParseError(path, line, "authors", f"slot {part!r} has no {missing}")
     return AuthorSlot(
         position,
         None if rid == "-" else shared.setdefault(rid, rid),

@@ -11,13 +11,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from math import fsum, inf, log, sqrt
+from math import fsum, log, sqrt
 from statistics import NormalDist
 
 from .errors import DegenerateSample
 from .model import AssessmentConfig, GrandMeanMode, SkewnessTarget
 from .transform import (
     TransformSpec,
+    _finite_nonnegative,
     _mean,
     log_shift_transform,
     sample_skewness,
@@ -209,12 +210,9 @@ def build_funnel_report(
     """
     original_groups: Groups = []
     for inst in sorted(values_by_institution):
-        values = [float(v) for v in values_by_institution[inst]]
+        values = _finite_nonnegative(values_by_institution[inst], f"institution {inst!r}")
         if not values:
             raise ValueError(f"institution {inst!r} has no values")
-        bad = next((v for v in values if not 0.0 <= v < inf), None)  # NaN is bad too
-        if bad is not None:
-            raise ValueError(f"institution {inst!r} has value {bad}, not finite and >= 0")
         original_groups.append((inst, values))
 
     pooled_values = [v for _, values in original_groups for v in values]

@@ -86,6 +86,8 @@ class AuthorSlot:
     def __post_init__(self):
         if self.position < 1:
             raise ValueError(f"position must be >= 1, got {self.position}")
+        if self.researcher_id is not None and not self.researcher_id.strip():
+            raise ValueError("researcher_id must be None or not blank")
         if not self.institution_id.strip():
             raise ValueError("institution_id must not be blank")
 
@@ -97,15 +99,16 @@ class PublicationRecord:
     subject_category: str
     citations: int
     authors: tuple[AuthorSlot, ...]
-    # None until a researcher asks ``first_slot``; then the first asker's
-    # slot index, and the full ``first_slots`` map once a second one asks.
-    _first_slots: int | dict[str, int] | None = field(
+    # ``first_slot``'s map, kept only when it holds more than one researcher.
+    _first_slots: dict[str, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         if self.citations < 0:
             raise ValueError(f"citations must be >= 0, got {self.citations}")
+        if self.year < 0:
+            raise ValueError(f"year must be >= 0, got {self.year}")
         if not self.publication_id.strip():
             raise ValueError("publication_id must not be blank")
         if type(self.authors) is not tuple:
@@ -114,33 +117,18 @@ class PublicationRecord:
     def first_slot(self, researcher_id: str) -> int:
         """Index of the researcher's first byline slot; KeyError if it has none.
 
-        Most bylines list one assessed researcher, so the first to ask keeps
-        only its own index; the map is built when a second, different
-        researcher asks. A byline read by all of its A authors is walked
-        twice in all, not A times."""
-        memo = self._first_slots
-        if memo is None:
-            for i, slot in enumerate(self.authors):
-                if slot.researcher_id == researcher_id:
-                    object.__setattr__(self, "_first_slots", i)
-                    return i
-            raise KeyError(researcher_id)
-        if type(memo) is int and self.authors[memo].researcher_id == researcher_id:
-            return memo
-        return self.first_slots[researcher_id]
-
-    @property
-    def first_slots(self) -> dict[str, int]:
-        """Researcher id -> index of that researcher's first byline slot.
-        Built on first use; authors outside the population are not keys."""
-        index = self._first_slots
-        if type(index) is not dict:
-            index = {}
+        One walk maps each assessed id to its first slot. The map is kept only
+        if it holds more than one researcher, so a byline read by all of its
+        authors is walked once and the usual one-researcher byline keeps none."""
+        slots = self._first_slots
+        if slots is None:
+            slots = {}
             for i, slot in enumerate(self.authors):
                 if slot.researcher_id is not None:
-                    index.setdefault(slot.researcher_id, i)
-            object.__setattr__(self, "_first_slots", index)
-        return index
+                    slots.setdefault(slot.researcher_id, i)
+            if len(slots) > 1:
+                object.__setattr__(self, "_first_slots", slots)
+        return slots[researcher_id]
 
 
 @dataclass(frozen=True)

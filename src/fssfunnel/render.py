@@ -92,20 +92,15 @@ def _header() -> list[str]:
     ]
 
 
-def _escape(text: str) -> str:
-    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
-    does without extra entities; importing that module would pull in
-    ``urllib.request``, ``http.client``, ``ssl`` and ``email`` at start-up."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _text(x: float, y: float, content: str, anchor: str = "middle",
           cls: str = "tick-label", rotate: float | None = None) -> str:
+    # ``content`` is a module constant or a formatted number, never a report
+    # id, so it holds no character that XML would need escaped.
     transform = f' transform="rotate({_px(rotate)} {_px(x)} {_px(y)})"' if rotate is not None else ""
     return (
         f'<text class="{cls}" x="{_px(x)}" y="{_px(y)}" text-anchor="{anchor}" '
-        f'font-family="{_escape(FONT_FAMILY)}" font-size="{FONT_SIZE}" '
-        f'fill="#303030"{transform}>{_escape(content)}</text>'
+        f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
+        f'fill="#303030"{transform}>{content}</text>'
     )
 
 
@@ -157,6 +152,14 @@ _INTERVAL = (
 )
 
 
+def _grand_mean_line(y: float) -> str:
+    return (
+        f'<line class="grand-mean" x1="{_px(LEFT)}" y1="{_px(y)}" '
+        f'x2="{_px(RIGHT)}" y2="{_px(y)}" stroke="{MEAN_COLOR}" '
+        f'stroke-width="1.4"/>'
+    )
+
+
 def _polyline(points, cls: str, dashed: bool) -> str:
     coords = " ".join(f"{_px(x)},{_px(y)}" for x, y in points)
     dash = ' stroke-dasharray="5,3"' if dashed else ""
@@ -188,13 +191,14 @@ def render_funnel_svg(report: FunnelReport) -> str:
     y_range = _pad_range(min(y_values), max(y_values))
     frame = _Frame((n_lo, n_hi), y_range)
 
+    y_ticks = _nice_ticks(*y_range)
     parts = _header()
     parts += _axes(
-        frame, _nice_ticks(n_lo, n_hi), _nice_ticks(*y_range),
+        frame, _nice_ticks(n_lo, n_hi), y_ticks,
         "faculty size (n)", "mean of transformed index",
     )
     # Secondary axis: left ticks back-transformed to the original index scale.
-    for tick in _nice_ticks(*y_range):
+    for tick in y_ticks:
         if tick < y_range[0] or tick > y_range[1]:
             continue
         original = exp(tick) - report.transform.delta
@@ -216,12 +220,7 @@ def render_funnel_svg(report: FunnelReport) -> str:
             points = [(frame.x(n), frame.y(y)) for n, y in zip(grid, edge)]
             parts.append(_polyline(points, cls, dashed))
 
-    mean_y = frame.y(fit.grand_mean)
-    parts.append(
-        f'<line class="grand-mean" x1="{_px(LEFT)}" y1="{_px(mean_y)}" '
-        f'x2="{_px(RIGHT)}" y2="{_px(mean_y)}" stroke="{MEAN_COLOR}" '
-        f'stroke-width="1.4"/>'
-    )
+    parts.append(_grand_mean_line(frame.y(fit.grand_mean)))
 
     parts += [
         _MARKER[s.classification] % (frame.x(s.size), frame.y(s.mean_transformed))
@@ -290,12 +289,7 @@ def render_caterpillar_svg(report: FunnelReport) -> str:
               cls="caveat")
     )
 
-    mean_y = frame.y(fit.grand_mean)
-    parts.append(
-        f'<line class="grand-mean" x1="{_px(LEFT)}" y1="{_px(mean_y)}" '
-        f'x2="{_px(RIGHT)}" y2="{_px(mean_y)}" stroke="{MEAN_COLOR}" '
-        f'stroke-width="1.4"/>'
-    )
+    parts.append(_grand_mean_line(frame.y(fit.grand_mean)))
     for i, (summary, h) in enumerate(zip(ordered, half), start=1):
         x = frame.x(float(i))
         mean = summary.mean_transformed

@@ -13,7 +13,7 @@ results do not depend on how a sum is blocked or vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign, exp, fsum, log
+from math import copysign, exp, fsum, inf, log
 from operator import mul
 from sys import float_info
 from typing import Callable
@@ -44,6 +44,16 @@ def _mean(values) -> float:
     return fsum(values) / len(values)
 
 
+def _finite_nonnegative(values, owner: str) -> list[float]:
+    """The one value-domain check of this package: the values as floats,
+    or ValueError naming ``owner`` and the first that is not finite and >= 0."""
+    values = [float(v) for v in values]
+    for v in values:
+        if not 0.0 <= v < inf:  # NaN fails too
+            raise ValueError(f"{owner} has value {v}, not finite and >= 0")
+    return values
+
+
 def sample_skewness(values) -> float:
     """Moment coefficient g1 = m3 / m2^(3/2), central moments with divisor n."""
     values = list(values)
@@ -63,9 +73,7 @@ def log_shift_transform(values, delta: float) -> list[float]:
     """Elementwise ln(value + delta); strictly monotone, defined at zero."""
     if delta <= 0:
         raise ValueError(f"log shift requires delta > 0, got {delta}")
-    values = [float(v) for v in values]
-    if values and min(values) < 0:
-        raise ValueError("log shift expects non-negative values")
+    values = _finite_nonnegative(values, "log shift")
     return [log(v + delta) for v in values]
 
 
@@ -80,9 +88,7 @@ def zero_skewness_delta(
     doubled up to ``BRACKET_CAP`` until the skewness changes sign. Without a
     sign change the closer endpoint is reported with ``converged=False``.
     """
-    values = [float(v) for v in values]
-    if values and min(values) < 0:
-        raise ValueError("zero-skewness solve expects non-negative values")
+    values = _finite_nonnegative(values, "zero-skewness solve")
     if len(set(values)) < 3:  # 0.0 and -0.0 are one value
         raise DegenerateSample(
             "zero-skewness solve needs at least 3 distinct values"

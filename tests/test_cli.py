@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1089,6 +1090,8 @@ VALID_BYLINE = "1:a1:A;2:a2:A;3:-:X"
         ("0:a1:A;2:a2:A", "must be >= 1, got 0"),
         ("1:a1:A;2:a2:", "slot '2:a2:' has no institution"),
         ("1:a1:A;2:a2: ", "slot '2:a2: ' has no institution"),
+        ("1:a1:A;2::A", "slot '2::A' has no researcher id"),
+        ("1: :A;2:a2:A", "slot '1: :A' has no researcher id"),
     ],
 )
 def test_byline_parse_errors_name_line_and_slot(tmp_path, cell, reason):
@@ -1118,6 +1121,81 @@ def test_byline_out_of_order_is_sorted_by_position(tmp_path):
     expected = (AuthorSlot(1, "a1", "A"), AuthorSlot(2, "a2", "B"))
     assert first.authors == second.authors == expected
     assert third.authors == (AuthorSlot(1, "a1", "A"), AuthorSlot(2, None, "X"))
+
+
+def _reference_slot(part):
+    """A byline slot as (position, researcher id or None, institution), or
+    the reason it does not parse: the slot grammar, written out directly."""
+    fields = part.split(":")
+    if len(fields) != 3:
+        return f"slot {part!r} is not position:researcher_id:institution_id"
+    pos_text, rid, inst = (field.strip() for field in fields)
+    if not re.fullmatch(r"[+-]?[0-9]+", pos_text):
+        return f"not an integer: {pos_text!r}"
+    if int(pos_text) < 1:
+        return f"must be >= 1, got {int(pos_text)}"
+    if not rid:
+        return f"slot {part!r} has no researcher id"
+    if not inst:
+        return f"slot {part!r} has no institution"
+    return int(pos_text), None if rid == "-" else rid, inst
+
+
+_PADDING = st.sampled_from(["", " ", "  "])
+_SLOT_DEFECTS = {
+    "blank researcher id": lambda pos, rid, inst: f"{pos}: :{inst}",
+    "empty researcher id": lambda pos, rid, inst: f"{pos}::{inst}",
+    "blank institution": lambda pos, rid, inst: f"{pos}:{rid}: ",
+    "position 0": lambda pos, rid, inst: f"0:{rid}:{inst}",
+    "position x": lambda pos, rid, inst: f"x:{rid}:{inst}",
+    "position 1_0": lambda pos, rid, inst: f"1_0:{rid}:{inst}",
+    "full-width position": lambda pos, rid, inst: f"\uff12:{rid}:{inst}",
+    "two fields": lambda pos, rid, inst: f"{pos}:{rid}",
+    "four fields": lambda pos, rid, inst: f"{pos}:{rid}:{inst}:X",
+    "empty part": lambda pos, rid, inst: "",
+}
+
+
+@st.composite
+def byline_cells(draw):
+    """A byline cell of padded researcher and ``-`` external slots in any
+    position order, with at most one defect in one slot."""
+    count = draw(st.integers(1, 6))
+    positions = draw(st.permutations(range(1, count + 1)))
+    parts = []
+    for pos in positions:
+        rid = draw(st.one_of(st.just("-"), st.from_regex(r"[a-z][a-z0-9_.-]{0,4}", fullmatch=True)))
+        inst = draw(st.from_regex(r"[A-Z][A-Za-z0-9]{0,3}", fullmatch=True))
+        pad = [draw(_PADDING) for _ in range(6)]
+        parts.append([pos, rid, inst, f"{pad[0]}{pos}{pad[1]}:{pad[2]}{rid}{pad[3]}:{pad[4]}{inst}{pad[5]}"])
+    defect = draw(st.one_of(st.none(), st.sampled_from(sorted(_SLOT_DEFECTS))))
+    if defect is not None:
+        part = parts[draw(st.integers(0, count - 1))]
+        part[3] = _SLOT_DEFECTS[defect](*part[:3])
+    return ";".join(part[3] for part in parts)
+
+
+@given(byline_cells())
+@example("1:a1:A; 2: :B")
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_byline_cells_parse_as_the_slot_grammar_says(tmp_path_factory, cell):
+    path = tmp_path_factory.getbasetemp() / "bylines.csv"
+    path.write_text(
+        "publication_id,year,subject_category,citations,authors\n"
+        f"q01,2008,Biochemistry,10,{VALID_BYLINE}\n"
+        f'q02,2009,Biochemistry,8,"{cell}"\n',
+        encoding="utf-8",
+    )
+    expected = [_reference_slot(part) for part in cell.split(";")]
+    reason = next((slot for slot in expected if isinstance(slot, str)), None)
+    if reason is not None:
+        with pytest.raises(ParseError) as caught:
+            read_publications_csv(str(path))
+        assert str(caught.value) == f"{path}:3: column 'authors': {reason}"
+        return
+    authors = read_publications_csv(str(path))[1].authors
+    expected.sort(key=lambda slot: slot[0])
+    assert authors == tuple(AuthorSlot(*slot) for slot in expected)
 
 
 def test_readers_hold_each_repeated_value_once(tmp_path):

@@ -336,11 +336,13 @@ def test_bylines_read_by_one_researcher_hold_no_map():
     recs, pubs, index = _one_researcher_per_byline(200)
     for rec in recs:
         researcher_fss(rec, index[rec.researcher_id], baseline(), CONFIG)
-    # Each memo is its one researcher's slot index, and no map was built.
-    assert [pub._first_slots for pub in pubs] == [
+    # No byline kept a map, and each still finds its one researcher's slot.
+    assert [pub._first_slots for pub in pubs] == [None] * len(pubs)
+    assert [pub.first_slot(rec.researcher_id) for rec, pub in zip(recs, pubs)] == [
         [slot.researcher_id for slot in pub.authors].index(rec.researcher_id)
         for rec, pub in zip(recs, pubs)
     ]
+    assert [pub._first_slots for pub in pubs] == [None] * len(pubs)
 
 
 def test_scoring_a_one_researcher_byline_allocates_well_under_a_dict():
@@ -368,12 +370,11 @@ def test_all_authors_of_a_long_byline_share_one_map():
     recs = [researcher(rid, years=1) for rid in ids]
     pub = publication("p1", 7, byline(*["u01"] * 1999, "u02", researcher_ids=ids))
     entries = baseline()
+    # The first researcher's ask builds the map; every later one reuses it.
     scores = [researcher_fss(recs[0], [pub], entries, CONFIG)]
-    assert pub._first_slots == 0
-    scores.append(researcher_fss(recs[1], [pub], entries, CONFIG))
     built = pub._first_slots
     assert built == {rid: i for i, rid in enumerate(ids)}
-    scores += [researcher_fss(rec, [pub], entries, CONFIG) for rec in recs[2:]]
+    scores += [researcher_fss(rec, [pub], entries, CONFIG) for rec in recs[1:]]
     assert pub._first_slots is built
     expected = [_reference_fss(rec, [pub], entries, CONFIG) for rec in recs]
     assert scores == expected
@@ -388,7 +389,7 @@ def test_the_first_slot_wins_whoever_asks_first(askers):
     for rid in askers:
         assert pub.first_slot(rid) == slots[rid]
     assert pub.first_slot("r1") == 0
-    assert pub.first_slots == slots
+    assert {rid: pub.first_slot(rid) for rid in slots} == slots
 
 
 def test_a_researcher_off_the_byline_leaves_the_memo_as_it_was():

@@ -286,6 +286,13 @@ def test_publication_record_rejects_negative_citations():
         publication("p1", -3, byline("u01"))
 
 
+def test_publication_record_rejects_a_negative_year():
+    # The reader's rule for the year column.
+    with pytest.raises(ValueError, match="year must be >= 0, got -1"):
+        PublicationRecord("p1", -1, "Biochemistry", 3, byline("u01"))
+    assert PublicationRecord("p1", 0, "Biochemistry", 3, byline("u01")).year == 0
+
+
 def test_baseline_rejects_non_positive_mean():
     with pytest.raises(ValueError):
         CitationBaseline({(2008, "Biochemistry"): 0.0})
@@ -315,6 +322,14 @@ def test_author_slot_rejects_a_blank_institution(inst):
     # Two blank ends would otherwise compare equal and score as intramural.
     with pytest.raises(ValueError, match="blank"):
         AuthorSlot(1, None, inst)
+
+
+@pytest.mark.parametrize("rid", ["", " ", "\t"])
+def test_author_slot_rejects_a_blank_researcher_id(rid):
+    # A blank id is no researcher; None is the external author.
+    with pytest.raises(ValueError, match="blank"):
+        AuthorSlot(1, rid, "u01")
+    assert AuthorSlot(1, None, "u01").researcher_id is None
 
 
 @pytest.mark.parametrize(
@@ -389,14 +404,13 @@ def test_first_slots_memo_is_no_part_of_the_record():
         return publication("p1", 3, authors)
 
     built, fresh = repeated_author(), repeated_author()
-    # One researcher's slot index, before any map is built.
+    # The first ask builds the map; the first slot wins for a repeated id.
     assert built.first_slot("r2") == 1
-    assert built == fresh
-    assert hash(built) == hash(fresh)
-    assert repr(built) == repr(fresh)
-    # The first slot wins for a repeated id; the memo is built once.
-    assert built.first_slots == {"r1": 0, "r2": 1}
-    assert built.first_slots is built.first_slots
+    memo = built._first_slots
+    assert memo == {"r1": 0, "r2": 1}
+    assert built.first_slot("r1") == 0
+    assert built._first_slots is memo
+    assert fresh._first_slots is None
     assert built == fresh
     assert hash(built) == hash(fresh)
     assert repr(built) == repr(fresh)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ def test_log_shift_rejects_negative_values():
         log_shift_transform([-0.5], 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_shift_rejects_values_that_are_not_finite(bad):
+    # inf would pass through as inf, and NaN, smaller than nothing, as NaN.
+    with pytest.raises(ValueError, match=re.escape(f"log shift has value {bad}, not finite")):
+        log_shift_transform([1.0, bad, 2.0], 1.0)
+
+
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=2, max_size=50, unique=True),
        st.floats(min_value=1e-6, max_value=100))
 @example(values=[1.034e-21, 0.0], delta=1e-6)
@@ -119,6 +127,14 @@ def test_zero_skewness_no_sign_change_reports_diagnostic():
     assert not spec.converged
     assert spec.achieved_skewness > 0
     assert spec.delta in spec.bracket_used
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_zero_skewness_rejects_values_that_are_not_finite(bad):
+    # A NaN would otherwise come back as a spec with NaN skewness.
+    message = f"zero-skewness solve has value {bad}, not finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        zero_skewness_delta([bad, 1.0, 2.0, 3.0, 5.0])
 
 
 def test_zero_skewness_rejects_degenerate_samples():
