@@ -24,6 +24,7 @@ import contextlib
 import csv
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -34,7 +35,6 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 from .errors import AssessmentError, IoError, ParseError, ValidationErrors
 from .funnel import Classification, FunnelReport, build_funnel_report
@@ -106,15 +106,16 @@ def _read_rows(path: str, expected_header: list[str]):
         raise IoError(path, exc.strerror or str(exc)) from exc
     except UnicodeDecodeError:
         line, before, reason = _first_bad_byte(path)
-        # The bad byte starts or continues the last field of the text before it.
-        count = len(next(csv.reader([before + "?"])))
-        column = expected_header[min(count, len(expected_header)) - 1]
+        # The byte is in the last field of the last record, maybe begun lines before.
+        for record in csv.reader(io.StringIO(before + "?", newline="")):
+            pass
+        column = expected_header[min(len(record), len(expected_header)) - 1]
         raise ParseError(path, line, column, reason) from None
 
 
 def _first_bad_byte(path: str) -> tuple[int, str, str]:
-    """Line of the first byte of ``path`` that is not UTF-8, the text before
-    it on that line, and a reason naming the byte."""
+    """Line of the first byte of ``path`` that is not UTF-8, the file's text
+    before it, and a reason naming the byte."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -125,8 +126,7 @@ def _first_bad_byte(path: str) -> tuple[int, str, str]:
         start = exc.start
     else:
         raise IoError(path, "file changed while it was read")
-    line_start = data.rfind(b"\n", 0, start) + 1
-    before = data[line_start:start].decode("utf-8").lstrip("\ufeff")
+    before = data[:start].decode("utf-8-sig")
     return data.count(b"\n", 0, start) + 1, before, f"not UTF-8: byte 0x{data[start]:02x}"
 
 
@@ -275,44 +275,41 @@ def read_baselines_csv(path: str) -> CitationBaseline:
 
 
 def _config_file_keys() -> dict[str, tuple[str, object, Enum | None]]:
-    """Config-file key -> (AssessmentConfig field, value type, dict key).
+    """Config-file key -> (AssessmentConfig field, default value, dict key).
 
     A dict field keyed by an Enum takes one file key per member, spelled
     ``<key_prefix><member value, lower case>``; every other field is its own
-    key with the field's type."""
-    hints = get_type_hints(AssessmentConfig)
+    key."""
+    defaults = AssessmentConfig()
     keys = {}
     for f in fields(AssessmentConfig):
-        hint = hints[f.name]
-        if get_origin(hint) is dict:
-            member_type, value_type = get_args(hint)
-            for member in member_type:
-                keys[f.metadata["key_prefix"] + member.value.lower()] = (
-                    f.name, value_type, member,
-                )
+        default = getattr(defaults, f.name)
+        if isinstance(default, dict):
+            for member, item in default.items():
+                keys[f.metadata["key_prefix"] + member.value.lower()] = (f.name, item, member)
         else:
-            keys[f.name] = (f.name, hint, None)
+            keys[f.name] = (f.name, default, None)
     return keys
 
 
-def _convert(hint, text: str):
-    """One config value as ``hint`` (a number type, an Enum or a fixed-length
-    tuple of numbers); ValueError with a message for the user on bad input.
-    Numbers follow the rules of number cells (``_ascii_number``)."""
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        allowed = sorted(member.value for member in hint)
+def _convert(default, text: str):
+    """One config value as the type of ``default`` (a number, an Enum member
+    or a fixed-length tuple of numbers); ValueError with a message for the
+    user on bad input. Numbers follow the rules of number cells
+    (``_ascii_number``)."""
+    if isinstance(default, Enum):
+        allowed = sorted(member.value for member in type(default))
         if text not in allowed:
             raise ValueError(f"expected one of {allowed}, got {text!r}")
-        return hint(text)
-    args = get_args(hint)
+        return type(default)(text)
     try:
-        if get_origin(hint) is not tuple:
-            return _ascii_number(hint, text)
-        value = tuple(_ascii_number(args[0], part) for part in text.split(","))
+        if not isinstance(default, tuple):
+            return _ascii_number(type(default), text)
+        value = tuple(_ascii_number(type(default[0]), part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad value {text!r}") from None
-    if len(value) != len(args):
-        raise ValueError(f"expected {len(args)} values, got {text!r}")
+    if len(value) != len(default):
+        raise ValueError(f"expected {len(default)} values, got {text!r}")
     return value
 
 
@@ -323,7 +320,8 @@ def parse_config_file(path: str) -> AssessmentConfig:
         raise IoError(path, exc.strerror or str(exc)) from exc
     except UnicodeDecodeError:
         line_no, before, reason = _first_bad_byte(path)
-        raise ParseError(path, line_no, before.partition("=")[0].strip(), reason) from None
+        key = before.rpartition("\n")[2].partition("=")[0].strip()
+        raise ParseError(path, line_no, key, reason) from None
 
     schema = _config_file_keys()
     seen: set[str] = set()
@@ -347,40 +345,31 @@ def parse_config_file(path: str) -> AssessmentConfig:
             raise ParseError(path, line_no, key, str(exc)) from None
         entries.append((line_no, key, converted))
 
-    try:
-        return AssessmentConfig(**_overrides(schema, entries))
-    except ValueError as exc:
-        message = str(exc)
-    # Name the first line at which the lines read so far break this invariant.
-    line_no, key = next(
-        (line_no, key)
-        for count, (line_no, key, _) in enumerate(entries, start=1)
-        if _invariant_failure(schema, entries[:count]) == message
-    )
-    raise ParseError(path, line_no, key, message)
-
-
-def _overrides(schema, entries) -> dict[str, object]:
-    """AssessmentConfig keyword arguments from parsed (line, key, value)
-    entries; a per-member key overrides one entry of its field's default."""
     defaults = AssessmentConfig()
-    overrides: dict[str, object] = {}
-    for _, key, value in entries:
-        name, _, member = schema[key]
-        if member is None:
-            overrides[name] = value
-        else:
-            overrides.setdefault(name, dict(getattr(defaults, name)))[member] = value
-    return overrides
 
+    def config_of(count: int) -> AssessmentConfig | str:
+        """The config of the first ``count`` entries, or the message of the invariant
+        they break; a per-member key overrides one entry of its field's default."""
+        overrides: dict[str, object] = {}
+        for _, key, value in entries[:count]:
+            name, _, member = schema[key]
+            if member is None:
+                overrides[name] = value
+            else:
+                overrides.setdefault(name, dict(getattr(defaults, name)))[member] = value
+        try:
+            return AssessmentConfig(**overrides)
+        except ValueError as exc:
+            return str(exc)
 
-def _invariant_failure(schema, entries) -> str | None:
-    """The AssessmentConfig invariant these entries break, or None."""
-    try:
-        AssessmentConfig(**_overrides(schema, entries))
-    except ValueError as exc:
-        return str(exc)
-    return None
+    config = config_of(len(entries))
+    if isinstance(config, AssessmentConfig):
+        return config
+    # Name the first line at which the lines read so far break this invariant.
+    line_no, key, _ = next(
+        entry for count, entry in enumerate(entries, start=1) if config_of(count) == config
+    )
+    raise ParseError(path, line_no, key, config)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +378,10 @@ def _invariant_failure(schema, entries) -> str | None:
 
 
 def _json_value(value):
-    """A config field's value in JSON terms: Enums as their values, tuples as
-    lists, Enum-keyed dicts keyed by member value."""
+    """A config field's value in JSON terms: Enums as their values,
+    Enum-keyed dicts keyed by member value."""
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, tuple):
-        return list(value)
     if isinstance(value, dict):
         return {key.value: item for key, item in value.items()}
     return value

@@ -8,9 +8,10 @@ faculty is too small. Both thresholds live in :class:`AssessmentConfig`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from operator import attrgetter
+from numbers import Real
+from operator import attrgetter, index
 
 from .errors import (
     DataViolation,
@@ -161,11 +162,37 @@ DEFAULT_SALARY_COEFFICIENTS = {
 }
 
 
+def _as_type_of(default, value, name: str):
+    """``value`` as the type of ``default``, the default of the config field
+    ``name``; TypeError or ValueError, naming the field, if it is not one."""
+    if isinstance(default, Enum):
+        # A member passes, a value maps to its member, anything else is a ValueError.
+        return type(default)(value)
+    if isinstance(default, int):
+        return index(value)  # any integer, numpy's too; TypeError on 2008.0
+    if isinstance(default, float):
+        if not isinstance(value, Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+        # NaN slips past every range check, and JSON holds neither it nor inf.
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        return value
+    if isinstance(default, tuple):
+        value = tuple(value)
+        if len(value) != len(default):
+            raise ValueError(f"{name} needs {len(default)} values, got {len(value)}")
+        return tuple(_as_type_of(d, v, name) for d, v in zip(default, value))
+    # An Enum-keyed dict in the default's order, whatever the caller's: byte-stable reports.
+    return {key: _as_type_of(d, value[key], name) for key, d in default.items() if key in value}
+
+
 @dataclass(frozen=True)
 class AssessmentConfig:
     """Every run option. The fields, in order, are the schema of the config
-    file and of the report's ``config`` block. An Enum field also accepts its
-    members' string values."""
+    file and of the report's ``config`` block. Each value is held as the type
+    of its field's default (see ``_as_type_of``): an Enum field also accepts
+    its members' string values, and a float field any real number."""
 
     period_start: int = 2008
     period_end: int = 2012
@@ -185,20 +212,8 @@ class AssessmentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, Enum):
-                # The Enum call returns a member unchanged, maps a value to
-                # its member and raises ValueError on anything else.
-                object.__setattr__(self, f.name, type(f.default)(value))
-                continue
-            if isinstance(value, dict):
-                value = value.values()
-            elif not isinstance(value, (tuple, list)):
-                value = (value,)
-            for item in value:
-                # NaN slips past every check below, and JSON holds neither it nor inf.
-                if isinstance(item, float) and not math.isfinite(item):
-                    raise ValueError(f"{f.name} must be finite, got {item}")
+            default = f.default_factory() if f.default is MISSING else f.default
+            object.__setattr__(self, f.name, _as_type_of(default, getattr(self, f.name), f.name))
         if self.period_end < self.period_start:
             raise ValueError("period_end must be >= period_start")
         if self.min_years_active < 1:
@@ -209,17 +224,10 @@ class AssessmentConfig:
             coeff = self.salary_coefficients.get(rank)
             if coeff is None or coeff <= 0:
                 raise ValueError(f"salary coefficient for {rank.value} must be > 0")
-        # Rank order, whatever the caller's, keeps the report byte-stable.
-        object.__setattr__(
-            self, "salary_coefficients", {rank: self.salary_coefficients[rank] for rank in Rank}
-        )
-        levels = tuple(self.band_z_levels)
-        if len(levels) != 2 or min(levels) <= 0:
+        if min(self.band_z_levels) <= 0:
             raise ValueError("band_z_levels needs exactly two positive levels")
-        if levels[0] >= levels[1]:
+        if self.inner_z >= self.outer_z:
             raise ValueError("band_z_levels must be strictly increasing")
-        # As floats, so levels given as ints report as a config file's do.
-        object.__setattr__(self, "band_z_levels", tuple(float(z) for z in levels))
         lo, hi = self.delta_bracket
         if not (0 < lo < hi):
             raise ValueError("delta_bracket must be a positive increasing interval")

@@ -16,6 +16,8 @@ WIDTH, HEIGHT = 760, 520
 # Edges of the plotting area, in pixels.
 LEFT, RIGHT, TOP, BOTTOM = 64, WIDTH - 64, 30, HEIGHT - 48
 POINT_RADIUS = 3.5
+TICK_TARGET = 6  # about this many ticks per axis
+RANGE_PAD = 0.08  # the share of the data range added as margin at each end
 MARKER_COLORS = {
     Classification.WITHIN: "#4878a8",
     Classification.ABOVE_INNER: "#2e8540",
@@ -55,11 +57,11 @@ class _Frame:
         return TOP + (1.0 - frac) * (BOTTOM - TOP)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
+    raw = span / TICK_TARGET
     magnitude = 10.0 ** floor(log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * magnitude
@@ -74,11 +76,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _pad_range(lo: float, hi: float, frac: float = 0.08) -> tuple[float, float]:
+def _pad_range(lo: float, hi: float) -> tuple[float, float]:
     if hi <= lo:
         pad = 1.0 if lo == 0 else abs(lo) * 0.5
         return lo - pad, lo + pad
-    pad = (hi - lo) * frac
+    pad = (hi - lo) * RANGE_PAD
     return lo - pad, hi + pad
 
 

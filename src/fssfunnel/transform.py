@@ -12,13 +12,14 @@ results do not depend on how a sum is blocked or vectorised.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import copysign, exp, fsum, inf, log
 from operator import mul
 from sys import float_info
-from typing import Callable
 
 from .errors import DegenerateSample
+from .model import AssessmentConfig
 
 BRACKET_CAP = 1e6
 MAX_ITERATIONS = 200
@@ -79,8 +80,8 @@ def log_shift_transform(values, delta: float) -> list[float]:
 
 def zero_skewness_delta(
     values,
-    bracket: tuple[float, float] = (1e-9, 10.0),
-    tolerance: float = 1e-9,
+    bracket: tuple[float, float] = AssessmentConfig.delta_bracket,
+    tolerance: float = AssessmentConfig.skewness_tolerance,
 ) -> TransformSpec:
     """Solve ln(x + delta) for the delta that zeroes the sample skewness.
 

@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from fssfunnel.funnel import (
     FunnelReport,
     InstitutionSummary,
     PooledFit,
+    build_funnel_report,
 )
 from fssfunnel.model import (
     AssessmentConfig,
@@ -1319,6 +1321,28 @@ def test_int_band_levels_emit_the_bytes_of_float_levels():
     values = {"A": [0.1, 0.5, 0.2, 0.9, 0.33], "B": [0.0, 0.41, 0.07, 0.64, 0.5, 0.28]}
     assert emit_report(make_report(values, band_z_levels=(2, 3))) == emit_report(
         make_report(values, band_z_levels=(2.0, 3.0))
+    )
+
+
+@pytest.mark.parametrize(
+    "given, default",
+    [
+        ({"delta_bracket": (1e-9, 10)}, {}),
+        ({"skewness_tolerance": 1}, {"skewness_tolerance": 1.0}),
+        (
+            {"salary_coefficients": {Rank.ASSISTANT: 1, Rank.ASSOCIATE: 2, Rank.FULL: 3}},
+            {"salary_coefficients": {Rank.ASSISTANT: 1.0, Rank.ASSOCIATE: 2.0, Rank.FULL: 3.0}},
+        ),
+        ({"min_faculty": np.int64(2)}, {"min_faculty": 2}),
+    ],
+    ids=["int_bracket", "int_tolerance", "int_salaries", "numpy_int"],
+)
+def test_equal_configs_emit_the_same_report(given, default):
+    values = {"A": [0.1, 0.5, 0.2, 0.9, 0.33], "B": [0.0, 0.41, 0.07, 0.64, 0.5, 0.28]}
+    config = AssessmentConfig(**given)
+    assert config == AssessmentConfig(**default)
+    assert emit_report(build_funnel_report(values, config)) == emit_report(
+        build_funnel_report(values, AssessmentConfig(**default))
     )
 
 

@@ -45,3 +45,17 @@ def test_an_unused_import_is_reported():
         "    return log(x) + os.sep\n"
     )
     assert unused_imports(source) == ["line 3: j", "line 4: inf", "line 6: Rank"]
+
+
+def test_only_a_type_checking_guard_imports_typing():
+    # Annotations take Callable from collections.abc, so no module needs
+    # typing at run time; synth imports it only for its TYPE_CHECKING guard.
+    found = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "typing":
+                found += [(module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(module, "") for alias in node.names if alias.name == "typing"]
+    assert found == [("synth.py", "TYPE_CHECKING")]

@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -370,10 +371,61 @@ def test_config_defaults_match_documented_values():
     assert config.period_length == 5
 
 
-def test_band_levels_given_as_ints_are_held_as_floats():
-    levels = AssessmentConfig(band_z_levels=(2, 3)).band_z_levels
-    assert levels == (2.0, 3.0)
-    assert all(type(z) is float for z in levels)
+def _floats_in(value) -> list:
+    """The numbers a config value holds: itself, a tuple's items or a dict's values."""
+    if isinstance(value, dict):
+        return list(value.values())
+    return list(value) if isinstance(value, tuple) else [value]
+
+
+# Every field whose default holds floats, with the same values given as ints.
+INT_GIVEN_FLOAT_FIELDS = {
+    "band_z_levels": (2, 3),
+    "delta_bracket": (1, 10),
+    "skewness_tolerance": 1,
+    "salary_coefficients": {Rank.FULL: 3, Rank.ASSISTANT: 1, Rank.ASSOCIATE: 2},
+}
+
+
+@pytest.mark.parametrize("name", INT_GIVEN_FLOAT_FIELDS)
+def test_ints_in_float_fields_are_held_as_floats(name):
+    defaults = AssessmentConfig()
+    assert set(INT_GIVEN_FLOAT_FIELDS) == {
+        f.name for f in fields(AssessmentConfig)
+        if all(type(x) is float for x in _floats_in(getattr(defaults, f.name)))
+    }
+    given = INT_GIVEN_FLOAT_FIELDS[name]
+    held = getattr(AssessmentConfig(**{name: given}), name)
+    assert held == given
+    assert all(type(x) is float for x in _floats_in(held))
+    if isinstance(held, dict):
+        assert list(held) == list(Rank)  # the default's order, not the caller's
+
+
+def test_numpy_ints_are_held_as_ints():
+    np = pytest.importorskip("numpy")
+    config = AssessmentConfig(min_faculty=np.int64(2), period_end=np.int32(2013))
+    assert config == AssessmentConfig(min_faculty=2, period_end=2013)
+    assert type(config.min_faculty) is int and type(config.period_end) is int
+
+
+@pytest.mark.parametrize("value", [2008.0, "2008", None])
+def test_an_int_field_takes_no_float_or_text(value):
+    with pytest.raises(TypeError):
+        AssessmentConfig(period_start=value)
+
+
+def test_a_list_is_held_as_the_tuple_of_its_values():
+    config = AssessmentConfig(delta_bracket=[1e-9, 10.0], band_z_levels=[2, 3.0])
+    assert config == AssessmentConfig()
+    assert type(config.delta_bracket) is tuple and type(config.band_z_levels) is tuple
+
+
+@pytest.mark.parametrize("name", ["band_z_levels", "delta_bracket"])
+@pytest.mark.parametrize("values", [(1.0,), (1e-9, 1.0, 10.0)])
+def test_a_pair_field_takes_exactly_two_values(name, values):
+    with pytest.raises(ValueError, match=f"^{name} needs 2 values, got {len(values)}$"):
+        AssessmentConfig(**{name: values})
 
 
 @pytest.mark.parametrize("levels", [("2", "3"), (2j, 3j), (None, 3.0)])

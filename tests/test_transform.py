@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fssfunnel.synth import draw_fss_sample
 from fssfunnel.errors import DegenerateSample
+from fssfunnel.model import AssessmentConfig
 from fssfunnel.transform import (
     MAX_ITERATIONS,
     log_shift_transform,
@@ -117,6 +119,15 @@ def test_zero_skewness_recovers_known_shift():
     assert spec.delta == pytest.approx(0.5, rel=1e-6)
     assert abs(spec.achieved_skewness) <= 1e-9
     assert abs(sample_skewness(log_shift_transform(values, spec.delta))) <= 1e-9
+
+
+def test_zero_skewness_defaults_are_the_config_defaults():
+    # Defined once: the solver's defaults are AssessmentConfig's.
+    params = inspect.signature(zero_skewness_delta).parameters
+    assert params["bracket"].default is AssessmentConfig.delta_bracket
+    assert params["tolerance"].default is AssessmentConfig.skewness_tolerance
+    config = AssessmentConfig()
+    assert (config.delta_bracket, config.skewness_tolerance) == ((1e-9, 10.0), 1e-9)
 
 
 def test_zero_skewness_no_sign_change_reports_diagnostic():
