@@ -74,43 +74,50 @@ def _read_rows(path: str, expected_header: list[str]):
     ``line`` is the file line the row starts on, so a quoted field that spans
     lines does not shift the line named for the rows after it. A row that csv
     cannot read, such as one with a field over csv's size limit, is a
-    ParseError for the line it starts on."""
-    start = 1
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = csv.reader(handle)
-            header = next(rows, None)
-            if header is None:
-                raise ParseError(
-                    path, 1, expected_header[0], "file is empty; header row required"
-                )
-            if header != expected_header:
-                raise ParseError(
-                    path, 1, ",".join(header),
-                    f"expected header {','.join(expected_header)}",
-                )
-            start = rows.line_num + 1
-            for row in rows:
-                line, start = start, rows.line_num + 1
-                if not row:
-                    continue
+    ParseError for the line it starts on. A byte that is not UTF-8 is named
+    only after every complete row above it, so the first defect is named."""
+    start = 1  # the line the next record starts on
+
+    def checked(lines, stop):
+        """The rows of ``lines``, read from line ``start``, until a record
+        runs past line ``stop``; that record is returned unchecked."""
+        nonlocal start
+        rows = csv.reader(lines)
+        skipped = start - 1
+        for row in rows:
+            line, start = start, skipped + rows.line_num + 1
+            if start > stop:
+                return row
+            if line == 1:
+                if row != expected_header:
+                    raise ParseError(
+                        path, 1, ",".join(row), f"expected header {','.join(expected_header)}"
+                    )
+            elif row:
                 if len(row) != len(expected_header):
                     raise ParseError(
                         path, line, expected_header[0],
                         f"expected {len(expected_header)} fields, got {len(row)}",
                     )
                 yield line, row
+
+    try:
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                yield from checked(handle, sys.maxsize)
+        except UnicodeDecodeError:
+            line, before, reason = _first_bad_byte(path)
+            # Decoding runs ahead of the rows: read those left, up to the byte's own.
+            lines = io.StringIO(before + "?", newline="").readlines()[start - 1:]
+            record = yield from checked(lines, start - 1 + len(lines))
+            column = expected_header[min(len(record), len(expected_header)) - 1]
+            raise ParseError(path, line, column, reason) from None
+        if start == 1:
+            raise ParseError(path, 1, expected_header[0], "file is empty; header row required")
     except csv.Error as exc:
         raise ParseError(path, start, expected_header[0], f"unreadable row: {exc}") from None
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
-    except UnicodeDecodeError:
-        line, before, reason = _first_bad_byte(path)
-        # The byte is in the last field of the last record, maybe begun lines before.
-        for record in csv.reader(io.StringIO(before + "?", newline="")):
-            pass
-        column = expected_header[min(len(record), len(expected_header)) - 1]
-        raise ParseError(path, line, column, reason) from None
 
 
 def _first_bad_byte(path: str) -> tuple[int, str, str]:
@@ -314,14 +321,16 @@ def _convert(default, text: str):
 
 
 def parse_config_file(path: str) -> AssessmentConfig:
+    bad_byte = None
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
     except UnicodeDecodeError:
+        # Named after the defects of the whole lines above it.
         line_no, before, reason = _first_bad_byte(path)
-        key = before.rpartition("\n")[2].partition("=")[0].strip()
-        raise ParseError(path, line_no, key, reason) from None
+        text, _, partial = before.rpartition("\n")
+        bad_byte = ParseError(path, line_no, partial.partition("=")[0].strip(), reason)
 
     schema = _config_file_keys()
     seen: set[str] = set()
@@ -344,6 +353,8 @@ def parse_config_file(path: str) -> AssessmentConfig:
         except ValueError as exc:
             raise ParseError(path, line_no, key, str(exc)) from None
         entries.append((line_no, key, converted))
+    if bad_byte is not None:
+        raise bad_byte
 
     defaults = AssessmentConfig()
 

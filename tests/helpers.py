@@ -1,4 +1,6 @@
-"""Construction shortcuts shared by the test modules."""
+"""Construction shortcuts and reference parsers shared by the test modules."""
+
+import re
 
 from fssfunnel.funnel import build_funnel_report
 from fssfunnel.model import (
@@ -37,3 +39,35 @@ def make_report(fss_by_institution, **config_kwargs):
     return build_funnel_report(
         fss_by_institution, AssessmentConfig(min_faculty=1, **config_kwargs)
     )
+
+
+def reference_slot(part):
+    """A byline slot as (position, researcher id or None, institution), or
+    the reason it does not parse: the slot grammar, written out directly."""
+    fields = part.split(":")
+    if len(fields) != 3:
+        return f"slot {part!r} is not position:researcher_id:institution_id"
+    pos_text, rid, inst = (field.strip() for field in fields)
+    if not re.fullmatch(r"[+-]?[0-9]+", pos_text):
+        return f"not an integer: {pos_text!r}"
+    if int(pos_text) < 1:
+        return f"must be >= 1, got {int(pos_text)}"
+    if not rid:
+        return f"slot {part!r} has no researcher id"
+    if not inst:
+        return f"slot {part!r} has no institution"
+    return int(pos_text), None if rid == "-" else rid, inst
+
+
+SLOT_DEFECTS = {
+    "blank researcher id": lambda pos, rid, inst: f"{pos}: :{inst}",
+    "empty researcher id": lambda pos, rid, inst: f"{pos}::{inst}",
+    "blank institution": lambda pos, rid, inst: f"{pos}:{rid}: ",
+    "position 0": lambda pos, rid, inst: f"0:{rid}:{inst}",
+    "position x": lambda pos, rid, inst: f"x:{rid}:{inst}",
+    "position 1_0": lambda pos, rid, inst: f"1_0:{rid}:{inst}",
+    "full-width position": lambda pos, rid, inst: f"\uff12:{rid}:{inst}",
+    "two fields": lambda pos, rid, inst: f"{pos}:{rid}",
+    "four fields": lambda pos, rid, inst: f"{pos}:{rid}:{inst}:X",
+    "empty part": lambda pos, rid, inst: "",
+}

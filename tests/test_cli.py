@@ -4,7 +4,6 @@ import json
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -50,7 +49,7 @@ from fssfunnel.model import (
 )
 from fssfunnel.synth import generate_synthetic_dataset
 from fssfunnel.transform import TransformSpec
-from helpers import make_report
+from helpers import SLOT_DEFECTS, make_report, reference_slot
 
 SALARY = {"Assistant": 1.0, "Associate": 1.4, "Full": 2.0}
 BASELINE = {2008: 5.0, 2009: 4.0}
@@ -681,8 +680,12 @@ def run_python(script: str) -> list[str]:
 
 
 # Each costs a cold process milliseconds that the default pipeline has no use
-# for: numpy.ma came with np.unique, the rest with xml.sax.saxutils.
-UNUSED_MODULES = ("numpy.ma", "xml.sax", "urllib.request", "http.client", "ssl", "email")
+# for: numpy.ma came with np.unique, statistics, fractions and decimal with
+# NormalDist, the rest with xml.sax.saxutils.
+UNUSED_MODULES = (
+    "numpy.ma", "xml.sax", "urllib.request", "http.client", "ssl", "email",
+    "statistics", "fractions", "decimal",
+)
 
 
 def test_default_run_does_not_import_numpy_ma(tmp_path):
@@ -939,6 +942,53 @@ def test_non_utf8_input_is_parse_error(tmp_path, capsys, name, old, new, message
     assert not (tmp_path / "report.json").exists()
 
 
+# Each file has a defect above a byte that is not UTF-8; the defect comes
+# first in file order, so it is named, however the text is decoded.
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        (read_researchers_csv,
+         b"researcher_id,institution_id,field_code,rank,years_active\n"
+         b"r1,A,Biochemistry,Full\nr2,A,Bio\xffchemistry,Full,3\n",
+         "2: column 'researcher_id': expected 5 fields, got 4"),
+        (read_researchers_csv,
+         b"researcher_id,institution_id,field_code,rank,years_active\n"
+         b"r1,A,Biochemistry,Full,3\nr1,A,Biochemistry,Full,3\nr2,A,Bio\xff,Full,3\n",
+         "3: column 'researcher_id': duplicate researcher id 'r1' (first seen on line 2)"),
+        (read_baselines_csv,
+         b"year,subject_category,mean_citations\n2008,Biochemistry,0\n2009,Bio\xff,1\n",
+         "2: column 'mean_citations': must be finite and > 0, got 0.0"),
+        (parse_config_file, b"no_such_key=1\nmin_faculty=2\xff\n",
+         "1: column 'no_such_key': unknown configuration key"),
+        # Not the invariant of the lines above the byte: a later line may mend it.
+        (parse_config_file, b"min_faculty=0\nmin_faculty=2\xff\n",
+         "2: column 'min_faculty': not UTF-8: byte 0xff"),
+    ],
+    ids=["field-count", "duplicate-id", "baseline-mean", "config-key", "config-invariant"],
+)
+def test_a_defect_above_a_bad_byte_is_named_first(tmp_path, read, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as caught:
+        read(str(path))
+    assert str(caught.value) == f"{path}:{message}"
+
+
+# Past the reader's first decoded chunk, so the rows above the byte are read twice.
+def test_a_defect_far_above_a_bad_byte_is_named_first(tmp_path):
+    path = tmp_path / "researchers.csv"
+    rows = "".join(f"r{i},A,Biochemistry,Full,3\n" for i in range(3000))
+    path.write_bytes(
+        f"researcher_id,institution_id,field_code,rank,years_active\n{rows}"
+        "r7,A,Biochemistry,Full,3\nr9999,A,Bio".encode() + b"\xff,Full,3\n"
+    )
+    with pytest.raises(ParseError) as caught:
+        read_researchers_csv(str(path))
+    assert str(caught.value) == (
+        f"{path}:3002: column 'researcher_id': duplicate researcher id 'r7' (first seen on line 9)"
+    )
+
+
 def test_parse_error_names_file_line_and_column(tmp_path, capsys):
     paths = write_fixture(tmp_path)
     content = (tmp_path / "publications.csv").read_text().replace("q01,2008,", "q01,round8,")
@@ -1125,37 +1175,7 @@ def test_byline_out_of_order_is_sorted_by_position(tmp_path):
     assert third.authors == (AuthorSlot(1, "a1", "A"), AuthorSlot(2, None, "X"))
 
 
-def _reference_slot(part):
-    """A byline slot as (position, researcher id or None, institution), or
-    the reason it does not parse: the slot grammar, written out directly."""
-    fields = part.split(":")
-    if len(fields) != 3:
-        return f"slot {part!r} is not position:researcher_id:institution_id"
-    pos_text, rid, inst = (field.strip() for field in fields)
-    if not re.fullmatch(r"[+-]?[0-9]+", pos_text):
-        return f"not an integer: {pos_text!r}"
-    if int(pos_text) < 1:
-        return f"must be >= 1, got {int(pos_text)}"
-    if not rid:
-        return f"slot {part!r} has no researcher id"
-    if not inst:
-        return f"slot {part!r} has no institution"
-    return int(pos_text), None if rid == "-" else rid, inst
-
-
 _PADDING = st.sampled_from(["", " ", "  "])
-_SLOT_DEFECTS = {
-    "blank researcher id": lambda pos, rid, inst: f"{pos}: :{inst}",
-    "empty researcher id": lambda pos, rid, inst: f"{pos}::{inst}",
-    "blank institution": lambda pos, rid, inst: f"{pos}:{rid}: ",
-    "position 0": lambda pos, rid, inst: f"0:{rid}:{inst}",
-    "position x": lambda pos, rid, inst: f"x:{rid}:{inst}",
-    "position 1_0": lambda pos, rid, inst: f"1_0:{rid}:{inst}",
-    "full-width position": lambda pos, rid, inst: f"\uff12:{rid}:{inst}",
-    "two fields": lambda pos, rid, inst: f"{pos}:{rid}",
-    "four fields": lambda pos, rid, inst: f"{pos}:{rid}:{inst}:X",
-    "empty part": lambda pos, rid, inst: "",
-}
 
 
 @st.composite
@@ -1170,10 +1190,10 @@ def byline_cells(draw):
         inst = draw(st.from_regex(r"[A-Z][A-Za-z0-9]{0,3}", fullmatch=True))
         pad = [draw(_PADDING) for _ in range(6)]
         parts.append([pos, rid, inst, f"{pad[0]}{pos}{pad[1]}:{pad[2]}{rid}{pad[3]}:{pad[4]}{inst}{pad[5]}"])
-    defect = draw(st.one_of(st.none(), st.sampled_from(sorted(_SLOT_DEFECTS))))
+    defect = draw(st.one_of(st.none(), st.sampled_from(sorted(SLOT_DEFECTS))))
     if defect is not None:
         part = parts[draw(st.integers(0, count - 1))]
-        part[3] = _SLOT_DEFECTS[defect](*part[:3])
+        part[3] = SLOT_DEFECTS[defect](*part[:3])
     return ";".join(part[3] for part in parts)
 
 
@@ -1188,7 +1208,7 @@ def test_byline_cells_parse_as_the_slot_grammar_says(tmp_path_factory, cell):
         f'q02,2009,Biochemistry,8,"{cell}"\n',
         encoding="utf-8",
     )
-    expected = [_reference_slot(part) for part in cell.split(";")]
+    expected = [reference_slot(part) for part in cell.split(";")]
     reason = next((slot for slot in expected if isinstance(slot, str)), None)
     if reason is not None:
         with pytest.raises(ParseError) as caught:

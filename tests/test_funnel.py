@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
@@ -207,6 +208,19 @@ def test_qq_points_match_blom_oracle():
         expected = mean + sd * norm.ppf((i + 1 - 0.375) / (n + 0.25))
         assert theoretical == pytest.approx(expected, abs=1e-9)
         assert sample == ordered[i]
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 500, 2336])
+def test_qq_points_keep_the_bits_of_normal_dist_inv_cdf(n):
+    # qq_points calls the C function behind NormalDist.inv_cdf, so that no run
+    # imports statistics; every theoretical quantile must keep its bits.
+    values = [math.sin(i) * (i % 7 + 1) for i in range(n)]
+    ordered = sorted(values)
+    mean = math.fsum(ordered) / n
+    sd = math.sqrt(math.fsum([(v - mean) * (v - mean) for v in ordered]) / (n - 1))
+    inv = NormalDist().inv_cdf
+    expected = [(mean + sd * inv((i + 1 - 0.375) / (n + 0.25))).hex() for i in range(n)]
+    assert [theoretical.hex() for theoretical, _ in qq_points(values)] == expected
 
 
 def test_qq_points_sample_axis_is_sorted_input():
