@@ -30,7 +30,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -285,17 +284,17 @@ def _config_file_keys() -> dict[str, tuple[str, object, Enum | None]]:
     """Config-file key -> (AssessmentConfig field, default value, dict key).
 
     A dict field keyed by an Enum takes one file key per member, spelled
-    ``<key_prefix><member value, lower case>``; every other field is its own
-    key."""
-    defaults = AssessmentConfig()
+    ``<key prefix><member value, lower case>`` with the field's prefix in
+    ``AssessmentConfig._key_prefixes``; every other field is its own key."""
     keys = {}
-    for f in fields(AssessmentConfig):
-        default = getattr(defaults, f.name)
+    for name in AssessmentConfig._fields:
+        default = getattr(AssessmentConfig, name)
         if isinstance(default, dict):
+            prefix = AssessmentConfig._key_prefixes[name]
             for member, item in default.items():
-                keys[f.metadata["key_prefix"] + member.value.lower()] = (f.name, item, member)
+                keys[prefix + member.value.lower()] = (name, item, member)
         else:
-            keys[f.name] = (f.name, default, None)
+            keys[name] = (name, default, None)
     return keys
 
 
@@ -356,8 +355,6 @@ def parse_config_file(path: str) -> AssessmentConfig:
     if bad_byte is not None:
         raise bad_byte
 
-    defaults = AssessmentConfig()
-
     def config_of(count: int) -> AssessmentConfig | str:
         """The config of the first ``count`` entries, or the message of the invariant
         they break; a per-member key overrides one entry of its field's default."""
@@ -367,7 +364,7 @@ def parse_config_file(path: str) -> AssessmentConfig:
             if member is None:
                 overrides[name] = value
             else:
-                overrides.setdefault(name, dict(getattr(defaults, name)))[member] = value
+                overrides.setdefault(name, dict(getattr(AssessmentConfig, name)))[member] = value
         try:
             return AssessmentConfig(**overrides)
         except ValueError as exc:
@@ -470,8 +467,8 @@ def emit_report(report: FunnelReport) -> str:
     head = json.dumps(
         {
             "config": {
-                f.name: _json_value(getattr(report.config, f.name))
-                for f in fields(report.config)
+                name: _json_value(getattr(report.config, name))
+                for name in report.config._fields
             },
             "transform": {
                 "delta": report.transform.delta,
@@ -773,6 +770,9 @@ def main(argv=None) -> int:
         })
     except (IoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:  # numpy, an optional dependency
+        print(f"error: synth needs {exc.name}: pip install 'fssfunnel[synth]'", file=sys.stderr)
         return 2
     if not args.quiet:
         for name, path in paths.items():

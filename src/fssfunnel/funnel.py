@@ -9,7 +9,7 @@ institution outside the bands is a candidate outlier, not a ranked winner.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from math import fsum, log, sqrt
 
@@ -40,46 +40,20 @@ class Classification(Enum):
     BELOW_OUTER = "below_outer"
 
 
-@dataclass(frozen=True)
-class PooledFit:
-    grand_mean: float
-    pooled_sd: float
-    total_n: int
-    group_count: int
-    # The fitted effects: each group's mean, in the order of the groups.
-    # ``adjusted_means`` needs them; a fit built by hand for bands alone may
-    # leave them out.
-    group_means: tuple[float, ...] = field(default=(), repr=False)
-
-
-@dataclass(frozen=True)
-class BandPoint:
-    n: int
-    level_z: float
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True, slots=True)
-class InstitutionSummary:
-    institution_id: str
-    size: int
-    mean_transformed: float
-    mean_original: float
-    classification: Classification
-    inner_band: BandPoint
-    outer_band: BandPoint
-
-
-@dataclass(frozen=True)
-class FunnelReport:
-    fit: PooledFit
-    transform: TransformSpec
-    summaries: tuple[InstitutionSummary, ...]
-    qq_points: tuple[tuple[float, float], ...] | None
-    size_slope: tuple[float, float] | None
-    rankings: dict[str, int]
-    config: AssessmentConfig
+# ``group_means`` are the fitted effects: each group's mean, in the order of
+# the groups. ``adjusted_means`` needs them; a fit built by hand for bands
+# alone may leave them out.
+PooledFit = namedtuple(
+    "PooledFit", "grand_mean pooled_sd total_n group_count group_means", defaults=((),)
+)
+BandPoint = namedtuple("BandPoint", "n level_z lower upper")
+InstitutionSummary = namedtuple(
+    "InstitutionSummary",
+    "institution_id size mean_transformed mean_original classification inner_band outer_band",
+)
+FunnelReport = namedtuple(
+    "FunnelReport", "fit transform summaries qq_points size_slope rankings config"
+)
 
 
 def fit_pooled(
@@ -246,16 +220,9 @@ def build_funnel_report(
                 confidence_bands(fit, n, config.outer_z),
             )
         inner, outer = bands
+        classification = classify_institution(mean_t, inner, outer)
         summaries.append(
-            InstitutionSummary(
-                institution_id=inst,
-                size=n,
-                mean_transformed=mean_t,
-                mean_original=_mean(original),
-                classification=classify_institution(mean_t, inner, outer),
-                inner_band=inner,
-                outer_band=outer,
-            )
+            InstitutionSummary(inst, n, mean_t, _mean(original), classification, inner, outer)
         )
 
     try:

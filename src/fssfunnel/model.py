@@ -8,7 +8,7 @@ faculty is too small. Both thresholds live in :class:`AssessmentConfig`.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from collections import namedtuple
 from enum import Enum
 from numbers import Real
 from operator import attrgetter, index
@@ -55,65 +55,107 @@ class SkewnessTarget(Enum):
     INSTITUTION_MEANS = "institution_means"
 
 
-@dataclass(frozen=True, slots=True)
-class ResearcherRecord:
-    researcher_id: str
-    institution_id: str
-    field_code: str
-    rank: Rank
-    years_active: int
+class _Record:
+    """A frozen dataclass's contract (equality, hash and repr by field, no
+    assignment) without the code that ``dataclasses`` compiles at import. A
+    subclass names its fields in ``_fields``; its ``__init__`` sets them."""
 
-    def __post_init__(self):
-        if self.years_active < 0:
-            raise ValueError(f"years_active must be >= 0, got {self.years_active}")
-        if not self.researcher_id.strip() or not self.institution_id.strip():
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        """A new record with the named fields changed, checked as any other."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ResearcherRecord(_Record):
+    _fields = ("researcher_id", "institution_id", "field_code", "rank", "years_active")
+    __slots__ = _fields
+
+    def __init__(
+        self, researcher_id: str, institution_id: str, field_code: str, rank: Rank, years_active: int
+    ):
+        if years_active < 0:
+            raise ValueError(f"years_active must be >= 0, got {years_active}")
+        if not researcher_id.strip() or not institution_id.strip():
             raise ValueError("researcher_id and institution_id must not be blank")
+        object.__setattr__(self, "researcher_id", researcher_id)
+        object.__setattr__(self, "institution_id", institution_id)
+        object.__setattr__(self, "field_code", field_code)
         # As AssessmentConfig coerces its Enum fields: a member passes, a
         # value maps to its member and anything else raises ValueError.
-        if not isinstance(self.rank, Rank):
-            object.__setattr__(self, "rank", Rank(self.rank))
+        object.__setattr__(self, "rank", rank if isinstance(rank, Rank) else Rank(rank))
+        object.__setattr__(self, "years_active", years_active)
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorSlot:
+class AuthorSlot(_Record):
     """One byline position. ``researcher_id`` is None for authors outside
     the assessed population; ``institution_id`` is the affiliation on this
     publication."""
 
-    position: int
-    researcher_id: str | None
-    institution_id: str
+    __slots__ = _fields = ("position", "researcher_id", "institution_id")
 
-    def __post_init__(self):
-        if self.position < 1:
-            raise ValueError(f"position must be >= 1, got {self.position}")
-        if self.researcher_id is not None and not self.researcher_id.strip():
+    def __init__(self, position: int, researcher_id: str | None, institution_id: str):
+        if position < 1:
+            raise ValueError(f"position must be >= 1, got {position}")
+        if researcher_id is not None and not researcher_id.strip():
             raise ValueError("researcher_id must be None or not blank")
-        if not self.institution_id.strip():
+        if not institution_id.strip():
             raise ValueError("institution_id must not be blank")
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "researcher_id", researcher_id)
+        object.__setattr__(self, "institution_id", institution_id)
 
 
-@dataclass(frozen=True, slots=True)
-class PublicationRecord:
-    publication_id: str
-    year: int
-    subject_category: str
-    citations: int
-    authors: tuple[AuthorSlot, ...]
-    # ``first_slot``'s map, kept only when it holds more than one researcher.
-    _first_slots: dict[str, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+class PublicationRecord(_Record):
+    _fields = ("publication_id", "year", "subject_category", "citations", "authors")
+    # ``first_slot``'s map, kept only when it holds more than one researcher;
+    # no field, so no part of equality, hash or repr.
+    __slots__ = (*_fields, "_first_slots")
 
-    def __post_init__(self):
-        if self.citations < 0:
-            raise ValueError(f"citations must be >= 0, got {self.citations}")
-        if self.year < 0:
-            raise ValueError(f"year must be >= 0, got {self.year}")
-        if not self.publication_id.strip():
+    def __init__(
+        self,
+        publication_id: str,
+        year: int,
+        subject_category: str,
+        citations: int,
+        authors: tuple[AuthorSlot, ...],
+    ):
+        if citations < 0:
+            raise ValueError(f"citations must be >= 0, got {citations}")
+        if year < 0:
+            raise ValueError(f"year must be >= 0, got {year}")
+        if not publication_id.strip():
             raise ValueError("publication_id must not be blank")
-        if type(self.authors) is not tuple:
-            object.__setattr__(self, "authors", tuple(self.authors))
+        object.__setattr__(self, "publication_id", publication_id)
+        object.__setattr__(self, "year", year)
+        object.__setattr__(self, "subject_category", subject_category)
+        object.__setattr__(self, "citations", citations)
+        object.__setattr__(self, "authors", authors if type(authors) is tuple else tuple(authors))
+        object.__setattr__(self, "_first_slots", None)
 
     def first_slot(self, researcher_id: str) -> int:
         """Index of the researcher's first byline slot; KeyError if it has none.
@@ -132,18 +174,18 @@ class PublicationRecord:
         return slots[researcher_id]
 
 
-@dataclass(frozen=True)
-class CitationBaseline:
+class CitationBaseline(_Record):
     """Mean citations of cited publications, keyed by (year, subject category)."""
 
-    entries: dict[tuple[int, str], float]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        for key, mean in self.entries.items():
+    def __init__(self, entries: dict[tuple[int, str], float]):
+        for key, mean in entries.items():
             if not math.isfinite(mean) or mean <= 0:
                 raise ValueError(
                     f"baseline mean for {key} must be finite and > 0, got {mean}"
                 )
+        object.__setattr__(self, "entries", entries)
 
     def lookup(self, year: int, subject_category: str) -> float:
         try:
@@ -187,33 +229,35 @@ def _as_type_of(default, value, name: str):
     return {key: _as_type_of(d, value[key], name) for key, d in default.items() if key in value}
 
 
-@dataclass(frozen=True)
-class AssessmentConfig:
+class AssessmentConfig(_Record):
     """Every run option. The fields, in order, are the schema of the config
     file and of the report's ``config`` block. Each value is held as the type
     of its field's default (see ``_as_type_of``): an Enum field also accepts
-    its members' string values, and a float field any real number."""
+    its members' string values, and a float field any real number. The class
+    attributes are the defaults."""
 
     period_start: int = 2008
     period_end: int = 2012
     min_years_active: int = 3
     min_faculty: int = 5
-    # Spelled salary_coefficient_<rank> in the config file, one key per rank.
-    salary_coefficients: dict[Rank, float] = field(
-        default_factory=lambda: dict(DEFAULT_SALARY_COEFFICIENTS),
-        metadata={"key_prefix": "salary_coefficient_"},
-    )
+    salary_coefficients: dict[Rank, float] = DEFAULT_SALARY_COEFFICIENTS
     band_z_levels: tuple[float, float] = (2.0, 3.0)
     delta_bracket: tuple[float, float] = (1e-9, 10.0)
     skewness_tolerance: float = 1e-9
     weighting_scheme: WeightingScheme = WeightingScheme.LIFE_SCIENCE
     grand_mean_mode: GrandMeanMode = GrandMeanMode.INDIVIDUALS
     skewness_target: SkewnessTarget = SkewnessTarget.INDIVIDUALS
+    _fields = tuple(__annotations__)  # the names above, in order
+    # One config-file key per member of a dict field: <prefix><member value, lower case>.
+    _key_prefixes = {"salary_coefficients": "salary_coefficient_"}
 
-    def __post_init__(self):
-        for f in fields(self):
-            default = f.default_factory() if f.default is MISSING else f.default
-            object.__setattr__(self, f.name, _as_type_of(default, getattr(self, f.name), f.name))
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args), **kwargs)
+        if len(given) != len(args) + len(kwargs) or not given.keys() <= set(self._fields):
+            raise TypeError(f"AssessmentConfig takes each of {self._fields} at most once")
+        for name in self._fields:
+            default = getattr(AssessmentConfig, name)
+            object.__setattr__(self, name, _as_type_of(default, given.get(name, default), name))
         if self.period_end < self.period_start:
             raise ValueError("period_end must be >= period_start")
         if self.min_years_active < 1:
@@ -247,14 +291,11 @@ class AssessmentConfig:
         return self.band_z_levels[1]
 
 
-@dataclass
-class AssessablePopulation:
-    """Researchers kept after the exclusion rules: institution id -> its
-    members, institutions in id order and members in researcher-id order."""
-
-    institutions: dict[str, tuple[ResearcherRecord, ...]]
-    dropped_researchers: int
-    dropped_institutions: int
+AssessablePopulation = namedtuple(
+    "AssessablePopulation", "institutions dropped_researchers dropped_institutions"
+)
+AssessablePopulation.__doc__ = """Researchers kept after the exclusion rules: institution
+id -> its members, institutions in id order and members in researcher-id order."""
 
 
 _PUBLICATION_ID = attrgetter("publication_id")

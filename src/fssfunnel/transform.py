@@ -12,8 +12,8 @@ results do not depend on how a sum is blocked or vectorised.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import copysign, exp, fsum, inf, log
 from operator import mul
 from sys import float_info
@@ -25,19 +25,11 @@ BRACKET_CAP = 1e6
 MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Solved shift and the residual skewness it achieves.
-
-    ``converged`` is False when the skewness never changed sign over the
-    maximal bracket; ``delta`` is then the endpoint with the smaller absolute
-    skewness and downstream consumers should treat the bands with care.
-    """
-
-    delta: float
-    achieved_skewness: float
-    bracket_used: tuple[float, float]
-    converged: bool
+TransformSpec = namedtuple("TransformSpec", "delta achieved_skewness bracket_used converged")
+TransformSpec.__doc__ = """Solved shift and the residual skewness it achieves. ``converged``
+is False when the skewness never changed sign over the maximal bracket; ``delta`` is then
+the endpoint with the smaller absolute skewness and downstream consumers should treat the
+bands with care."""
 
 
 def _mean(values) -> float:

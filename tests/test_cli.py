@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -453,7 +452,7 @@ def test_config_file_round_trips_every_key(tmp_path):
         "grand_mean_mode": "group_means",
         "skewness_target": "institution_means",
     }
-    assert list(report["config"]) == [f.name for f in fields(AssessmentConfig)]
+    assert list(report["config"]) == list(AssessmentConfig._fields)
 
 
 def test_degenerate_pipeline_is_exit_three(tmp_path, capsys):
@@ -681,10 +680,12 @@ def run_python(script: str) -> list[str]:
 
 # Each costs a cold process milliseconds that the default pipeline has no use
 # for: numpy.ma came with np.unique, statistics, fractions and decimal with
-# NormalDist, the rest with xml.sax.saxutils.
+# NormalDist, dataclasses and inspect (with ast, dis and tokenize) with the
+# records, the rest with xml.sax.saxutils.
 UNUSED_MODULES = (
     "numpy.ma", "xml.sax", "urllib.request", "http.client", "ssl", "email",
     "statistics", "fractions", "decimal",
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
 )
 
 
@@ -697,6 +698,41 @@ def test_default_run_does_not_import_numpy_ma(tmp_path):
         f"print(code, *[name for name in {UNUSED_MODULES!r} if name in sys.modules])\n"
     )
     assert run_python(script) == ["0"]
+
+
+def test_importing_the_cli_loads_no_unused_module():
+    script = f"import sys, fssfunnel.cli; print(*[m for m in {UNUSED_MODULES!r} if m in sys.modules])"
+    assert run_python(script) == []
+
+
+def test_importing_the_cli_loads_no_typing():
+    # Without site, whose hooks may load typing on their own: typing.NamedTuple
+    # or a run-time annotation would cost every run milliseconds.
+    src = os.path.dirname(os.path.dirname(fssfunnel.__file__))
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import fssfunnel.cli; "
+        "print('typing' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False"]
+
+
+def test_synth_without_numpy_is_one_error_line(tmp_path):
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from fssfunnel.cli import main\n"
+        f"sys.exit(main(['synth', '--out-dir', {str(tmp_path / 'out')!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fssfunnel.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "numpy" in lines[0]
 
 
 def test_neither_import_nor_assess_loads_numpy(tmp_path):
@@ -1332,7 +1368,7 @@ def test_qq_max_deviation_summary():
     # null when the report has no quantile plot.
     report = make_report({"A": [0.1, 0.4, 0.9, 0.2]})
     points = ((0.0, 0.1), (1.0, 0.7), (2.0, 2.05))
-    diagnostics = json.loads(emit_report(replace(report, qq_points=points)))["diagnostics"]
+    diagnostics = json.loads(emit_report(report._replace(qq_points=points)))["diagnostics"]
     assert diagnostics["qq_max_abs_deviation"] == pytest.approx(0.3, abs=1e-12)
     assert json.loads(emit_report(report))["diagnostics"]["qq_max_abs_deviation"] is None
 
@@ -1399,7 +1435,7 @@ def payload(report):
 
     return {
         "config": {
-            f.name: json_value(getattr(report.config, f.name)) for f in fields(report.config)
+            name: json_value(getattr(report.config, name)) for name in report.config._fields
         },
         "transform": {
             "delta": report.transform.delta,
@@ -1529,14 +1565,14 @@ def test_emit_report_rejects_a_non_finite_float_as_json_dumps_does(bad, where):
     report = one_institution_report("u01", 0.5)
     summary = report.summaries[0]
     if where in ("mean_original", "mean_transformed"):
-        report = replace(report, summaries=(replace(summary, **{where: bad}),))
+        report = report._replace(summaries=(summary._replace(**{where: bad}),))
     elif where == "band":
-        outer = replace(summary.outer_band, lower=bad)
-        report = replace(report, summaries=(replace(summary, outer_band=outer),))
+        outer = summary.outer_band._replace(lower=bad)
+        report = report._replace(summaries=(summary._replace(outer_band=outer),))
     elif where == "qq_points":
-        report = replace(report, qq_points=((0.5, 0.5), (bad, 0.5)))
+        report = report._replace(qq_points=((0.5, 0.5), (bad, 0.5)))
     else:
-        report = replace(report, size_slope=(0.5, bad))
+        report = report._replace(size_slope=(0.5, bad))
     with pytest.raises(ValueError) as expected:
         dumped(report)
     with pytest.raises(ValueError) as caught:

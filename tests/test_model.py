@@ -1,6 +1,5 @@
 import inspect
 import math
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -391,8 +390,8 @@ INT_GIVEN_FLOAT_FIELDS = {
 def test_ints_in_float_fields_are_held_as_floats(name):
     defaults = AssessmentConfig()
     assert set(INT_GIVEN_FLOAT_FIELDS) == {
-        f.name for f in fields(AssessmentConfig)
-        if all(type(x) is float for x in _floats_in(getattr(defaults, f.name)))
+        name for name in AssessmentConfig._fields
+        if all(type(x) is float for x in _floats_in(getattr(defaults, name)))
     }
     given = INT_GIVEN_FLOAT_FIELDS[name]
     held = getattr(AssessmentConfig(**{name: given}), name)

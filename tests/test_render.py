@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import xml.etree.ElementTree as ET
 
@@ -64,7 +63,7 @@ def test_funnel_structure_counts():
 def test_funnel_zero_sd_bands_collapse_onto_mean_line():
     # build_funnel_report rejects a zero pooled SD, so set it by hand.
     report = _three_institution_report()
-    report = dataclasses.replace(report, fit=dataclasses.replace(report.fit, pooled_sd=0.0))
+    report = report._replace(fit=report.fit._replace(pooled_sd=0.0))
     svg = render_funnel_svg(report)
     root = ET.fromstring(svg)
     mean_line = next(e for e in root.iter() if e.get("class") == "grand-mean")
