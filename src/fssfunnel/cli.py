@@ -171,12 +171,12 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
         if not rid or not inst:
             column = "institution_id" if rid else "researcher_id"
             raise ParseError(path, line, column, "must not be blank")
-        if rid in seen:
+        first = seen.setdefault(rid, line)
+        if first != line:
             raise ParseError(
                 path, line, "researcher_id",
-                f"duplicate researcher id {rid!r} (first seen on line {seen[rid]})",
+                f"duplicate researcher id {rid!r} (first seen on line {first})",
             )
-        seen[rid] = line
         rank = _RANK_BY_NAME.get(rank_text.strip().lower())
         if rank is None:
             raise ParseError(
@@ -193,7 +193,10 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
     return records
 
 
-def _parse_slot(path: str, line: int, part: str, shared: dict) -> AuthorSlot:
+def _slot_fields(path: str, line: int, part: str) -> tuple[int, str, str]:
+    """A slot text's position and stripped ids by the full rules, for a text
+    that failed ``read_publications_csv``'s check for the canonical form;
+    ParseError if it breaks a rule."""
     fields = part.split(":")
     if len(fields) != 3:
         raise ParseError(
@@ -206,11 +209,7 @@ def _parse_slot(path: str, line: int, part: str, shared: dict) -> AuthorSlot:
     if not rid or not inst:
         missing = "institution" if rid else "researcher id"
         raise ParseError(path, line, "authors", f"slot {part!r} has no {missing}")
-    return AuthorSlot(
-        position,
-        None if rid == "-" else shared.setdefault(rid, rid),
-        shared.setdefault(inst, inst),
-    )
+    return position, rid, inst
 
 
 _POSITION = attrgetter("position")
@@ -223,7 +222,8 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
     distinct one is parsed once per call and its frozen slot shared. A
     researcher's slot text seldom recurs (on the benchmark's ``bulk`` input,
     seed 3, 21,078 of 24,757 are distinct, where 93,455 external slots hold
-    4,372 texts), so it is parsed where it occurs and never memoized. Each
+    4,372 texts), so it is parsed where it occurs and never memoized; a slot
+    in canonical form (ASCII digits, two colons) is parsed inline. Each
     distinct year text is converted, and each category and id held, once
     per call. Only clean values are memoized, so a bad text fails at its line."""
     records = []
@@ -240,14 +240,32 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
         year = years.get(year_text)
         if year is None:
             year = years[year_text] = _parse_int(path, line, "year", year_text, 0)
-        citations = _parse_int(path, line, "citations", citations_text, 0)
+        # ASCII digits alone are what _parse_int reads as they are; any other
+        # text gets its full rules.
+        if citations_text.isdigit() and citations_text.isascii():
+            citations = int(citations_text)
+        else:
+            citations = _parse_int(path, line, "citations", citations_text, 0)
         authors = []
         for part in authors_cell.split(";"):
             slot = external.get(part)
             if slot is None:
-                slot = _parse_slot(path, line, part, shared)
-                if slot.researcher_id is None:
-                    external[part] = slot
+                fields = part.split(":")
+                if len(fields) == 3 and fields[0].isdigit() and fields[0].isascii():
+                    position, rid, inst = int(fields[0]), fields[1].strip(), fields[2].strip()
+                else:
+                    position = 0
+                # Any other text, a zero position or a blank id: the full rules.
+                if not (position and rid and inst):
+                    position, rid, inst = _slot_fields(path, line, part)
+                if rid == "-":
+                    slot = external[part] = AuthorSlot(
+                        position, None, shared.setdefault(inst, inst)
+                    )
+                else:
+                    slot = AuthorSlot(
+                        position, shared.setdefault(rid, rid), shared.setdefault(inst, inst)
+                    )
             authors.append(slot)
         authors.sort(key=_POSITION)
         records.append(PublicationRecord(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import MissingBaseline
 from .model import (
     AssessmentConfig,
     AuthorSlot,
@@ -49,16 +50,15 @@ def fractional_weights(
     if count == 0:
         raise ValueError("a publication needs at least one author")
     intramural = authors[0].institution_id == authors[-1].institution_id
-    return _weights_for(count, intramural, scheme)
+    return _weights_for(count, intramural, scheme is WeightingScheme.UNIFORM)
 
 
 # Bounded, because the vectors of many distinct long bylines would otherwise
-# pile up; a run sees few distinct (length, intramural, scheme) triples.
+# pile up; a run sees few distinct (length, intramural, scheme) triples. The
+# scheme is a bool, since hashing an Enum member runs Python code per call.
 @lru_cache(maxsize=256)
-def _weights_for(
-    count: int, intramural: bool, scheme: WeightingScheme
-) -> tuple[float, ...]:
-    if scheme is WeightingScheme.UNIFORM:
+def _weights_for(count: int, intramural: bool, uniform: bool) -> tuple[float, ...]:
+    if uniform:
         raw = [1.0 / count] * count
     else:
         raw = _positional_weights(count, intramural)
@@ -114,18 +114,30 @@ def researcher_fss(
             "should have been excluded upstream"
         )
     start, end = config.period_start, config.period_end
+    uniform = config.weighting_scheme is WeightingScheme.UNIFORM
+    entries = baselines.entries
+    rid = researcher.researcher_id
 
+    # fractional_weights and CitationBaseline.lookup, inline, with their errors.
     total = 0.0
     for pub in publications:
-        if not start <= pub.year <= end:
+        year = pub.year
+        if not start <= year <= end:
             continue
-        weights = fractional_weights(pub.authors, config.weighting_scheme)
+        authors = pub.authors
+        if not authors:
+            fractional_weights(authors)  # raises its ValueError for an empty byline
+        weights = _weights_for(
+            len(authors), authors[0].institution_id == authors[-1].institution_id, uniform
+        )
         try:
-            index = pub.first_slot(researcher.researcher_id)
+            index = pub.first_slot(rid)
         except KeyError:
             raise ValueError(
-                f"publication {pub.publication_id!r} is not authored by "
-                f"{researcher.researcher_id!r}"
+                f"publication {pub.publication_id!r} is not authored by {rid!r}"
             ) from None
-        total += pub.citations / baselines.lookup(pub.year, pub.subject_category) * weights[index]
+        baseline = entries.get((year, pub.subject_category))
+        if baseline is None:
+            raise MissingBaseline(year, pub.subject_category)
+        total += pub.citations / baseline * weights[index]
     return total / config.salary_coefficients[researcher.rank] / researcher.years_active

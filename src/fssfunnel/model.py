@@ -91,6 +91,14 @@ class _Record:
         return type(self), self._values()
 
 
+def _setters(cls: type) -> list:
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+# A byline of at most this many slots keeps no researcher -> first slot map.
+_SCANNED_BYLINE = 32
+
+
 class ResearcherRecord(_Record):
     _fields = ("researcher_id", "institution_id", "field_code", "rank", "years_active")
     __slots__ = _fields
@@ -102,13 +110,13 @@ class ResearcherRecord(_Record):
             raise ValueError(f"years_active must be >= 0, got {years_active}")
         if not researcher_id.strip() or not institution_id.strip():
             raise ValueError("researcher_id and institution_id must not be blank")
-        object.__setattr__(self, "researcher_id", researcher_id)
-        object.__setattr__(self, "institution_id", institution_id)
-        object.__setattr__(self, "field_code", field_code)
+        _set_researcher_id(self, researcher_id)
+        _set_institution_id(self, institution_id)
+        _set_field_code(self, field_code)
         # As AssessmentConfig coerces its Enum fields: a member passes, a
         # value maps to its member and anything else raises ValueError.
-        object.__setattr__(self, "rank", rank if isinstance(rank, Rank) else Rank(rank))
-        object.__setattr__(self, "years_active", years_active)
+        _set_rank(self, rank if isinstance(rank, Rank) else Rank(rank))
+        _set_years_active(self, years_active)
 
 
 class AuthorSlot(_Record):
@@ -125,9 +133,9 @@ class AuthorSlot(_Record):
             raise ValueError("researcher_id must be None or not blank")
         if not institution_id.strip():
             raise ValueError("institution_id must not be blank")
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "researcher_id", researcher_id)
-        object.__setattr__(self, "institution_id", institution_id)
+        _set_position(self, position)
+        _set_slot_researcher_id(self, researcher_id)
+        _set_slot_institution_id(self, institution_id)
 
 
 class PublicationRecord(_Record):
@@ -150,27 +158,36 @@ class PublicationRecord(_Record):
             raise ValueError(f"year must be >= 0, got {year}")
         if not publication_id.strip():
             raise ValueError("publication_id must not be blank")
-        object.__setattr__(self, "publication_id", publication_id)
-        object.__setattr__(self, "year", year)
-        object.__setattr__(self, "subject_category", subject_category)
-        object.__setattr__(self, "citations", citations)
-        object.__setattr__(self, "authors", authors if type(authors) is tuple else tuple(authors))
-        object.__setattr__(self, "_first_slots", None)
+        _set_publication_id(self, publication_id)
+        _set_year(self, year)
+        _set_subject_category(self, subject_category)
+        _set_citations(self, citations)
+        _set_authors(self, authors if type(authors) is tuple else tuple(authors))
+        _set_first_slots(self, None)
 
     def first_slot(self, researcher_id: str) -> int:
         """Index of the researcher's first byline slot; KeyError if it has none.
 
-        One walk maps each assessed id to its first slot. The map is kept only
-        if it holds more than one researcher, so a byline read by all of its
-        authors is walked once and the usual one-researcher byline keeps none."""
+        A byline of at most ``_SCANNED_BYLINE`` slots is scanned on each
+        request. A longer one is walked once to map each assessed id to its
+        first slot, and the map is kept if it holds more than one researcher,
+        so a consortium byline read by all of its authors is walked once."""
+        authors = self.authors
+        if len(authors) <= _SCANNED_BYLINE:
+            i = 0
+            for slot in authors:
+                if slot.researcher_id == researcher_id:
+                    return i
+                i += 1
+            raise KeyError(researcher_id)
         slots = self._first_slots
         if slots is None:
             slots = {}
-            for i, slot in enumerate(self.authors):
+            for i, slot in enumerate(authors):
                 if slot.researcher_id is not None:
                     slots.setdefault(slot.researcher_id, i)
             if len(slots) > 1:
-                object.__setattr__(self, "_first_slots", slots)
+                _set_first_slots(self, slots)
         return slots[researcher_id]
 
 
@@ -185,7 +202,7 @@ class CitationBaseline(_Record):
                 raise ValueError(
                     f"baseline mean for {key} must be finite and > 0, got {mean}"
                 )
-        object.__setattr__(self, "entries", entries)
+        _set_entries(self, entries)
 
     def lookup(self, year: int, subject_category: str) -> float:
         try:
@@ -195,6 +212,19 @@ class CitationBaseline(_Record):
 
     def __contains__(self, key: tuple[int, str]) -> bool:
         return key in self.entries
+
+
+# Each field's slot setter, the member descriptor's ``__set__``: it writes the
+# slot as ``object.__setattr__`` does, without looking the name up per call.
+_set_researcher_id, _set_institution_id, _set_field_code, _set_rank, _set_years_active = (
+    _setters(ResearcherRecord)
+)
+_set_position, _set_slot_researcher_id, _set_slot_institution_id = _setters(AuthorSlot)
+(
+    _set_publication_id, _set_year, _set_subject_category, _set_citations, _set_authors,
+    _set_first_slots,
+) = _setters(PublicationRecord)
+(_set_entries,) = _setters(CitationBaseline)
 
 
 DEFAULT_SALARY_COEFFICIENTS = {
@@ -325,29 +355,49 @@ def validate_dataset(
     ]
 
     known_ids = {rec.researcher_id for rec in researchers}
-    # The one id set says whether any id repeats; only then is the walk that
+    # An id set's size says whether any id repeats; only then is the walk that
     # names the repeats worth a second set.
     if len(known_ids) < len(researchers):
         errors.extend(
             DuplicateResearcherId(rid) for rid in _repeated(r.researcher_id for r in researchers)
         )
-    errors.extend(
-        DuplicatePublicationId(pid) for pid in _repeated(p.publication_id for p in publications)
-    )
+    if len({p.publication_id for p in publications}) < len(publications):
+        errors.extend(
+            DuplicatePublicationId(pid) for pid in _repeated(p.publication_id for p in publications)
+        )
 
+    start, end = config.period_start, config.period_end
+    entries = baselines.entries
     missing_baselines: set[tuple[int, str]] = set()
     by_researcher: dict[str, list[PublicationRecord] | tuple[PublicationRecord, ...]] = {}
     for pub in publications:
-        listed = [s.researcher_id for s in pub.authors if s.researcher_id is not None]
-        errors.extend(_author_list_violations(pub, listed, known_ids))
+        # One walk over the byline: its first slot off the positions 1..n
+        # (counted from 1; 0 if none) and its assessed ids in order.
+        listed = []
+        misplaced = count = 0
+        for slot in pub.authors:
+            count += 1
+            if slot.position != count and not misplaced:
+                misplaced = count
+            rid = slot.researcher_id
+            if rid is not None:
+                listed.append(rid)
+        if (
+            not count
+            or misplaced
+            or (len(listed) > 1 and len(set(listed)) < len(listed))
+            or not known_ids.issuperset(listed)
+        ):
+            errors.extend(_author_list_violations(pub, misplaced, listed, known_ids))
         for rid in listed:
             by_researcher.setdefault(rid, []).append(pub)
-        if not config.period_start <= pub.year <= config.period_end:
+        year = pub.year
+        if not start <= year <= end:
             continue  # never scored, so it needs no baseline
-        key = (pub.year, pub.subject_category)
-        if key not in baselines and key not in missing_baselines:
+        key = (year, pub.subject_category)
+        if key not in entries and key not in missing_baselines:
             missing_baselines.add(key)
-            errors.append(MissingBaseline(pub.year, pub.subject_category))
+            errors.append(MissingBaseline(year, pub.subject_category))
 
     if errors:
         raise ValidationErrors(errors)
@@ -373,25 +423,25 @@ def _repeated(ids) -> list[str]:
 
 
 def _author_list_violations(
-    pub: PublicationRecord, listed: list[str], known_ids: set[str]
+    pub: PublicationRecord, misplaced: int, listed: list[str], known_ids: set[str]
 ) -> list[DataViolation]:
-    """The byline's violations; ``listed`` holds its assessed ids in order."""
-    errors: list[DataViolation] = []
+    """The violations of a byline that ``validate_dataset``'s walk found at
+    fault, from that walk: ``misplaced`` counts the first slot off its
+    position from 1 (0 if none), and ``listed`` holds the assessed ids in
+    order."""
     if not pub.authors:
-        errors.append(MalformedAuthorList(pub.publication_id, "empty author list"))
-        return errors
-    for i, slot in enumerate(pub.authors):
-        if slot.position != i + 1:
-            errors.append(
-                MalformedAuthorList(
-                    pub.publication_id,
-                    f"author positions must run 1..{len(pub.authors)} in byline "
-                    f"order; slot {i} has position {slot.position}",
-                )
+        return [MalformedAuthorList(pub.publication_id, "empty author list")]
+    errors: list[DataViolation] = []
+    if misplaced:
+        errors.append(
+            MalformedAuthorList(
+                pub.publication_id,
+                f"author positions must run 1..{len(pub.authors)} in byline "
+                f"order; slot {misplaced - 1} has position "
+                f"{pub.authors[misplaced - 1].position}",
             )
-            break
-    # Most bylines repeat no one, and one set says so at C speed.
-    duplicated = set(_repeated(listed)) if len(set(listed)) != len(listed) else set()
+        )
+    duplicated = set(_repeated(listed))
     for rid in sorted(duplicated):
         errors.append(
             MalformedAuthorList(

@@ -48,13 +48,21 @@ class _Frame:
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError("frame needs non-empty data ranges")
 
+    # A figure maps its points a list at a time, with the frame's constants
+    # taken once per list rather than per point.
+    def xs(self, values) -> list[float]:
+        x0, span, pixels = self.x0, self.x1 - self.x0, RIGHT - LEFT
+        return [LEFT + (value - x0) / span * pixels for value in values]
+
+    def ys(self, values) -> list[float]:
+        y0, span, pixels = self.y0, self.y1 - self.y0, BOTTOM - TOP
+        return [TOP + (1.0 - (value - y0) / span) * pixels for value in values]
+
     def x(self, value: float) -> float:
-        frac = (value - self.x0) / (self.x1 - self.x0)
-        return LEFT + frac * (RIGHT - LEFT)
+        return self.xs((value,))[0]
 
     def y(self, value: float) -> float:
-        frac = (value - self.y0) / (self.y1 - self.y0)
-        return TOP + (1.0 - frac) * (BOTTOM - TOP)
+        return self.ys((value,))[0]
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -143,9 +151,11 @@ def _axes(frame: _Frame, x_ticks, y_ticks,
 
 
 # Per-point elements, one marker per classification; ``%.2f`` writes what _px does.
+# Keyed by the member's ``_value_``, since hashing a member runs Enum's
+# Python-level ``__hash__``.
 _MARKER = {
-    cls: f'<circle class="marker {cls.value}" cx="%.2f" cy="%.2f" '
-         f'r="{POINT_RADIUS}" fill="{color}" stroke="#ffffff" stroke-width="0.8"/>'
+    cls._value_: f'<circle class="marker {cls.value}" cx="%.2f" cy="%.2f" '
+                 f'r="{POINT_RADIUS}" fill="{color}" stroke="#ffffff" stroke-width="0.8"/>'
     for cls, color in MARKER_COLORS.items()
 }
 _INTERVAL = (
@@ -213,20 +223,24 @@ def render_funnel_svg(report: FunnelReport) -> str:
               "original scale", cls="axis-label", rotate=90.0)
     )
 
+    grid_x = frame.xs(grid)
     for z, cls, dashed in (
         (report.config.inner_z, "band inner", False),
         (report.config.outer_z, "band outer", True),
     ):
         bands = [confidence_bands(fit, n, z) for n in grid]
         for edge in ([b.lower for b in bands], [b.upper for b in bands]):
-            points = [(frame.x(n), frame.y(y)) for n, y in zip(grid, edge)]
-            parts.append(_polyline(points, cls, dashed))
+            parts.append(_polyline(zip(grid_x, frame.ys(edge)), cls, dashed))
 
     parts.append(_grand_mean_line(frame.y(fit.grand_mean)))
 
+    summaries = report.summaries
     parts += [
-        _MARKER[s.classification] % (frame.x(s.size), frame.y(s.mean_transformed))
-        for s in report.summaries
+        _MARKER[s.classification._value_] % xy
+        for s, xy in zip(summaries, zip(
+            frame.xs([s.size for s in summaries]),
+            frame.ys([s.mean_transformed for s in summaries]),
+        ))
     ]
     parts.append("</svg>\n")
     return "\n".join(parts)
@@ -249,11 +263,9 @@ def render_qq_svg(report: FunnelReport) -> str:
         f'x2="{_px(frame.x(hi))}" y2="{_px(frame.y(hi))}" stroke="{MEAN_COLOR}" '
         f'stroke-width="1" stroke-dasharray="5,3"/>'
     )
-    marker = _MARKER[Classification.WITHIN]
-    parts += [
-        marker % (frame.x(theoretical), frame.y(sample))
-        for theoretical, sample in report.qq_points
-    ]
+    marker = _MARKER[Classification.WITHIN.value]
+    theoretical, sample = zip(*report.qq_points)
+    parts += [marker % xy for xy in zip(frame.xs(theoretical), frame.ys(sample))]
     parts.append("</svg>\n")
     return "\n".join(parts)
 
@@ -292,12 +304,17 @@ def render_caterpillar_svg(report: FunnelReport) -> str:
     )
 
     parts.append(_grand_mean_line(frame.y(fit.grand_mean)))
-    for i, (summary, h) in enumerate(zip(ordered, half), start=1):
-        x = frame.x(float(i))
-        mean = summary.mean_transformed
+    means = [s.mean_transformed for s in ordered]
+    for summary, x, low, high, mean in zip(
+        ordered,
+        frame.xs([float(i) for i in range(1, count + 1)]),
+        frame.ys([m - h for m, h in zip(means, half)]),
+        frame.ys([m + h for m, h in zip(means, half)]),
+        frame.ys(means),
+    ):
         parts += (
-            _INTERVAL % (x, frame.y(mean - h), x, frame.y(mean + h)),
-            _MARKER[summary.classification] % (x, frame.y(mean)),
+            _INTERVAL % (x, low, x, high),
+            _MARKER[summary.classification._value_] % (x, mean),
         )
     parts.append("</svg>\n")
     return "\n".join(parts)

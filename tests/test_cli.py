@@ -1164,6 +1164,27 @@ def test_a_bad_number_after_a_good_one_fails_at_its_own_line(
     assert str(caught.value) == f"{path}:3: {message}"
 
 
+@pytest.mark.parametrize("year_first", [False, True], ids=["position-first", "year-first"])
+def test_one_number_text_is_read_by_its_own_column(tmp_path, year_first):
+    # A slot position is stripped before it is read, so "\u00a03" (a no-break
+    # space, then 3) is position 3; a year is read as it stands, so the same
+    # text fails. A memo shared by the two columns would carry one verdict
+    # over to the other, whichever row comes first.
+    header = NUMBER_FILES["publications"][0]
+    position_row = "q01,2009,Biochemistry,8,1:r1:U01;2:-:X;\u00a03:-:X"
+    year_row = "q02,\u00a03,Biochemistry,8,1:r1:U01"
+    rows = [year_row, position_row] if year_first else [position_row, year_row]
+    path = tmp_path / "publications.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        read_publications_csv(str(path))
+    line = 2 if year_first else 3
+    assert str(caught.value) == f"{path}:{line}: column 'year': not an integer: '\\xa03'"
+    path.write_text(f"{header}\n{position_row}\n", encoding="utf-8")
+    [pub] = read_publications_csv(str(path))
+    assert [slot.position for slot in pub.authors] == [1, 2, 3]
+
+
 # Each bad cell sits on line 3, after line 2 parsed slots of similar text.
 VALID_BYLINE = "1:a1:A;2:a2:A;3:-:X"
 

@@ -451,7 +451,9 @@ def test_per_entity_records_have_no_instance_dict():
 
 def test_first_slots_memo_is_no_part_of_the_record():
     def repeated_author():
-        authors = byline("u01", "u02", "u01", researcher_ids=["r1", "r2", "r1"])
+        # Long enough to keep a map: a byline of at most 32 slots is scanned.
+        ids = ["r1", "r2", "r1"] + [None] * 30
+        authors = byline("u01", "u02", *["u01"] * 31, researcher_ids=ids)
         return publication("p1", 3, authors)
 
     built, fresh = repeated_author(), repeated_author()
@@ -469,3 +471,131 @@ def test_first_slots_memo_is_no_part_of_the_record():
     assert list(inspect.signature(PublicationRecord).parameters) == [
         "publication_id", "year", "subject_category", "citations", "authors",
     ]
+
+
+def reference_validation(researchers, publications, baselines, config):
+    """What ``validate_dataset`` finds, written out rule by rule: its
+    violations as (type, text) in order, or its index as (id, publication
+    ids) items in first-listed order."""
+    period = config.period_end - config.period_start + 1
+
+    def repeats(ids):
+        counts = {}
+        for item in ids:
+            counts[item] = counts.get(item, 0) + 1
+            if counts[item] == 2:
+                yield item
+
+    errors = [
+        YearsOutOfRange(r.researcher_id, r.years_active, period)
+        for r in researchers
+        if r.years_active > period
+    ]
+    errors += [DuplicateResearcherId(rid) for rid in repeats(r.researcher_id for r in researchers)]
+    errors += [DuplicatePublicationId(pid) for pid in repeats(p.publication_id for p in publications)]
+    known = {r.researcher_id for r in researchers}
+    reported = set()
+    for pub in publications:
+        pid, slots = pub.publication_id, pub.authors
+        ids = [s.researcher_id for s in slots if s.researcher_id is not None]
+        if not slots:
+            errors.append(MalformedAuthorList(pid, "empty author list"))
+        else:
+            wrong = [i for i, s in enumerate(slots) if s.position != i + 1]
+            if wrong:
+                errors.append(MalformedAuthorList(
+                    pid,
+                    f"author positions must run 1..{len(slots)} in byline order; "
+                    f"slot {wrong[0]} has position {slots[wrong[0]].position}",
+                ))
+            twice = sorted({rid for rid in ids if ids.count(rid) > 1})
+            errors += [
+                MalformedAuthorList(pid, f"researcher {rid!r} occupies multiple author slots")
+                for rid in twice
+            ]
+            errors += [
+                UnknownResearcherRef(pid, rid) for rid in ids if rid not in known and rid not in twice
+            ]
+        key = (pub.year, pub.subject_category)
+        inside = config.period_start <= pub.year <= config.period_end
+        if inside and key not in baselines.entries and key not in reported:
+            reported.add(key)
+            errors.append(MissingBaseline(*key))
+    if errors:
+        return [(type(e), str(e)) for e in errors]
+    index = {}
+    for pub in publications:
+        for slot in pub.authors:
+            if slot.researcher_id is not None:
+                index.setdefault(slot.researcher_id, []).append(pub)
+    return [
+        (rid, [p.publication_id for p in sorted(pubs, key=lambda p: p.publication_id)])
+        for rid, pubs in index.items()
+    ]
+
+
+DEFECTS = (
+    "repeated researcher id", "years beyond the period", "repeated publication id",
+    "empty byline", "misplaced position", "researcher twice on a byline", "unknown id",
+    "missing baseline inside the period", "missing baseline outside the period",
+)
+
+
+@st.composite
+def defective_datasets(draw):
+    """A clean dataset with any subset of ``DEFECTS`` put in, each at drawn
+    places (a defect may land more than once)."""
+    defects = draw(st.sets(st.sampled_from(DEFECTS)))
+    config = AssessmentConfig(period_start=2008, period_end=2010)
+    ids = [f"r{i}" for i in range(draw(st.integers(1, 5)))]
+    if "repeated researcher id" in defects:
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+    top = 5 if "years beyond the period" in defects else 3
+    researchers = [researcher(rid, years=draw(st.integers(1, top))) for rid in ids]
+    pids = [f"p{i}" for i in range(draw(st.integers(1, 6)))]
+    if "repeated publication id" in defects:
+        pids.insert(draw(st.integers(0, len(pids))), draw(st.sampled_from(pids)))
+    years = st.integers(2007, 2011)
+    publications = []
+    for pid in pids:
+        listed = draw(st.lists(st.sampled_from(ids), max_size=4, unique=True))
+        listed += [None] * draw(st.integers(0 if listed else 1, 3))
+        listed = draw(st.permutations(listed))
+        if "unknown id" in defects and draw(st.booleans()):
+            listed[draw(st.integers(0, len(listed) - 1))] = "zz"
+        if "researcher twice on a byline" in defects and draw(st.booleans()):
+            listed.insert(draw(st.integers(0, len(listed))), draw(st.sampled_from(ids)))
+        if "empty byline" in defects and draw(st.booleans()):
+            listed = []
+        positions = list(range(1, len(listed) + 1))
+        if "misplaced position" in defects and listed:
+            for i in draw(st.lists(st.integers(0, len(listed) - 1), min_size=1, max_size=3)):
+                positions[i] = draw(st.integers(1, 7))
+        slots = tuple(AuthorSlot(pos, rid, "u01") for pos, rid in zip(positions, listed))
+        publications.append(publication(
+            pid, draw(st.integers(0, 9)), slots,
+            year=draw(years), category=draw(st.sampled_from(["A", "B"])),
+        ))
+    entries = {(year, c): 2.0 for year in range(2007, 2012) for c in "AB"}
+    for defect, inside in (
+        ("missing baseline inside the period", True),
+        ("missing baseline outside the period", False),
+    ):
+        if defect in defects:
+            for year in draw(st.lists(years.filter(lambda y: (2008 <= y <= 2010) == inside))):
+                entries.pop((year, draw(st.sampled_from("AB"))), None)
+    return researchers, publications, CitationBaseline(entries), config
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(defective_datasets())
+def test_validation_matches_its_rules_written_out(dataset):
+    expected = reference_validation(*dataset)
+    try:
+        index = validate_dataset(*dataset)
+    except ValidationErrors as exc:
+        got = [(type(e), str(e)) for e in exc.errors]
+    else:
+        got = [(rid, [p.publication_id for p in pubs]) for rid, pubs in index.items()]
+        assert all(type(pubs) is tuple for pubs in index.values())
+    assert got == expected
