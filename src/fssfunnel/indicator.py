@@ -9,6 +9,7 @@ active.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import fsum
 
 from .errors import MissingBaseline
 from .model import (
@@ -62,13 +63,14 @@ def _weights_for(count: int, intramural: bool, uniform: bool) -> tuple[float, ..
         raw = [1.0 / count] * count
     else:
         raw = _positional_weights(count, intramural)
-    total = sum(raw)
+    # fsum rounds once, so the bits do not depend on how a CPython version sums.
+    total = fsum(raw)
     weights = tuple(w / total for w in raw)
     # A self-check of the rules above, run once per cached vector.
     if any(w < 0 or w > 1 for w in weights):
         raise ValueError("weights must lie in [0, 1]")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {sum(weights)}")
+    if abs(fsum(weights) - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {fsum(weights)}")
     return weights
 
 

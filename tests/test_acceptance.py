@@ -75,7 +75,8 @@ def oracle_weights(institutions):
         others = [i for i in range(count) if raw[i] == 0.0]
         for i in others:
             raw[i] = 0.10 / len(others)
-    total = sum(raw)
+    # Normalized as the package does, with one rounding.
+    total = math.fsum(raw)
     return [w / total for w in raw]
 
 

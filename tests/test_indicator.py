@@ -230,7 +230,8 @@ def _fresh_weights(authors, scheme):
             0.30 if i in ends else 0.15 if i in near else 0.10 / others
             for i in range(count)
         ]
-    total = sum(raw)
+    # Normalized as the package does, with one rounding.
+    total = math.fsum(raw)
     return [w / total for w in raw]
 
 
