@@ -258,14 +258,13 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
                 # Any other text, a zero position or a blank id: the full rules.
                 if not (position and rid and inst):
                     position, rid, inst = _slot_fields(path, line, part)
+                slot = AuthorSlot(
+                    position,
+                    None if rid == "-" else shared.setdefault(rid, rid),
+                    shared.setdefault(inst, inst),
+                )
                 if rid == "-":
-                    slot = external[part] = AuthorSlot(
-                        position, None, shared.setdefault(inst, inst)
-                    )
-                else:
-                    slot = AuthorSlot(
-                        position, shared.setdefault(rid, rid), shared.setdefault(inst, inst)
-                    )
+                    external[part] = slot
             authors.append(slot)
         authors.sort(key=_POSITION)
         records.append(PublicationRecord(

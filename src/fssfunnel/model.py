@@ -174,11 +174,12 @@ class PublicationRecord(_Record):
         so a consortium byline read by all of its authors is walked once."""
         authors = self.authors
         if len(authors) <= _SCANNED_BYLINE:
-            i = 0
-            for slot in authors:
-                if slot.researcher_id == researcher_id:
-                    return i
-                i += 1
+            if researcher_id is not None:  # an external slot's id, no researcher's
+                i = 0
+                for slot in authors:
+                    if slot.researcher_id == researcher_id:
+                        return i
+                    i += 1
             raise KeyError(researcher_id)
         slots = self._first_slots
         if slots is None:

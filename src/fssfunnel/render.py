@@ -7,6 +7,7 @@ stylesheets, or scripts; all styling is inline, from the constants below.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import ceil, exp, floor, log10, sqrt
 
 from .errors import DegenerateSample
@@ -48,21 +49,21 @@ class _Frame:
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError("frame needs non-empty data ranges")
 
-    # A figure maps its points a list at a time, with the frame's constants
-    # taken once per list rather than per point.
-    def xs(self, values) -> list[float]:
+    # A figure maps its points as a stream, with the frame's constants taken
+    # once per stream rather than per point, and holds no list of pixels.
+    def xs(self, values) -> Iterator[float]:
         x0, span, pixels = self.x0, self.x1 - self.x0, RIGHT - LEFT
-        return [LEFT + (value - x0) / span * pixels for value in values]
+        return (LEFT + (value - x0) / span * pixels for value in values)
 
-    def ys(self, values) -> list[float]:
+    def ys(self, values) -> Iterator[float]:
         y0, span, pixels = self.y0, self.y1 - self.y0, BOTTOM - TOP
-        return [TOP + (1.0 - (value - y0) / span) * pixels for value in values]
+        return (TOP + (1.0 - (value - y0) / span) * pixels for value in values)
 
     def x(self, value: float) -> float:
-        return self.xs((value,))[0]
+        return next(self.xs((value,)))
 
     def y(self, value: float) -> float:
-        return self.ys((value,))[0]
+        return next(self.ys((value,)))
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -223,14 +224,13 @@ def render_funnel_svg(report: FunnelReport) -> str:
               "original scale", cls="axis-label", rotate=90.0)
     )
 
-    grid_x = frame.xs(grid)
     for z, cls, dashed in (
         (report.config.inner_z, "band inner", False),
         (report.config.outer_z, "band outer", True),
     ):
         bands = [confidence_bands(fit, n, z) for n in grid]
         for edge in ([b.lower for b in bands], [b.upper for b in bands]):
-            parts.append(_polyline(zip(grid_x, frame.ys(edge)), cls, dashed))
+            parts.append(_polyline(zip(frame.xs(grid), frame.ys(edge)), cls, dashed))
 
     parts.append(_grand_mean_line(frame.y(fit.grand_mean)))
 
@@ -238,8 +238,8 @@ def render_funnel_svg(report: FunnelReport) -> str:
     parts += [
         _MARKER[s.classification._value_] % xy
         for s, xy in zip(summaries, zip(
-            frame.xs([s.size for s in summaries]),
-            frame.ys([s.mean_transformed for s in summaries]),
+            frame.xs(s.size for s in summaries),
+            frame.ys(s.mean_transformed for s in summaries),
         ))
     ]
     parts.append("</svg>\n")
@@ -264,8 +264,10 @@ def render_qq_svg(report: FunnelReport) -> str:
         f'stroke-width="1" stroke-dasharray="5,3"/>'
     )
     marker = _MARKER[Classification.WITHIN.value]
-    theoretical, sample = zip(*report.qq_points)
-    parts += [marker % xy for xy in zip(frame.xs(theoretical), frame.ys(sample))]
+    points = report.qq_points
+    parts += [
+        marker % xy for xy in zip(frame.xs(t for t, _ in points), frame.ys(v for _, v in points))
+    ]
     parts.append("</svg>\n")
     return "\n".join(parts)
 
@@ -304,13 +306,12 @@ def render_caterpillar_svg(report: FunnelReport) -> str:
     )
 
     parts.append(_grand_mean_line(frame.y(fit.grand_mean)))
-    means = [s.mean_transformed for s in ordered]
     for summary, x, low, high, mean in zip(
         ordered,
-        frame.xs([float(i) for i in range(1, count + 1)]),
-        frame.ys([m - h for m, h in zip(means, half)]),
-        frame.ys([m + h for m, h in zip(means, half)]),
-        frame.ys(means),
+        frame.xs(map(float, range(1, count + 1))),
+        frame.ys(s.mean_transformed - h for s, h in zip(ordered, half)),
+        frame.ys(s.mean_transformed + h for s, h in zip(ordered, half)),
+        frame.ys(s.mean_transformed for s in ordered),
     ):
         parts += (
             _INTERVAL % (x, low, x, high),

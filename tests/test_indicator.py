@@ -395,8 +395,9 @@ def test_the_first_slot_wins_whoever_asks_first(askers):
 
 def test_a_researcher_off_the_byline_leaves_the_memo_as_it_was():
     pub = publication("p1", 10, byline("u01", "u02", researcher_ids=["r1", None]))
-    with pytest.raises(KeyError):
-        pub.first_slot("r2")
+    for absent in ("r2", None):
+        with pytest.raises(KeyError):
+            pub.first_slot(absent)
     assert pub._first_slots is None
     assert pub.first_slot("r1") == 0
     with pytest.raises(KeyError):
