@@ -194,9 +194,7 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
 
 
 def _slot_fields(path: str, line: int, part: str) -> tuple[int, str, str]:
-    """A slot text's position and stripped ids by the full rules, for a text
-    that failed ``read_publications_csv``'s check for the canonical form;
-    ParseError if it breaks a rule."""
+    """A slot text's position and stripped ids by the full rules."""
     fields = part.split(":")
     if len(fields) != 3:
         raise ParseError(
@@ -222,8 +220,7 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
     distinct one is parsed once per call and its frozen slot shared. A
     researcher's slot text seldom recurs (on the benchmark's ``bulk`` input,
     seed 3, 21,078 of 24,757 are distinct, where 93,455 external slots hold
-    4,372 texts), so it is parsed where it occurs and never memoized; a slot
-    in canonical form (ASCII digits, two colons) is parsed inline. Each
+    4,372 texts), so it is parsed, inline, where it occurs and never memoized. Each
     distinct year text is converted, and each category and id held, once
     per call. Only clean values are memoized, so a bad text fails at its line."""
     records = []
@@ -240,8 +237,7 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
         year = years.get(year_text)
         if year is None:
             year = years[year_text] = _parse_int(path, line, "year", year_text, 0)
-        # ASCII digits alone are what _parse_int reads as they are; any other
-        # text gets its full rules.
+        # ASCII digits read alike here and in _parse_int, which takes any other text.
         if citations_text.isdigit() and citations_text.isascii():
             citations = int(citations_text)
         else:
@@ -255,7 +251,7 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
                     position, rid, inst = int(fields[0]), fields[1].strip(), fields[2].strip()
                 else:
                     position = 0
-                # Any other text, a zero position or a blank id: the full rules.
+                # Any other form, a zero position or a blank id: the full rules.
                 if not (position and rid and inst):
                     position, rid, inst = _slot_fields(path, line, part)
                 slot = AuthorSlot(

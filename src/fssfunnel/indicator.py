@@ -56,14 +56,14 @@ def fractional_weights(
 
 # Bounded, because the vectors of many distinct long bylines would otherwise
 # pile up; a run sees few distinct (length, intramural, scheme) triples. The
-# scheme is a bool, since hashing an Enum member runs Python code per call.
+# scheme is a bool: hashing an Enum member runs Python code.
 @lru_cache(maxsize=256)
 def _weights_for(count: int, intramural: bool, uniform: bool) -> tuple[float, ...]:
     if uniform:
         raw = [1.0 / count] * count
     else:
         raw = _positional_weights(count, intramural)
-    # fsum rounds once, so the bits do not depend on how a CPython version sums.
+    # fsum rounds once, as CPython's sum() does only from 3.12 on.
     total = fsum(raw)
     weights = tuple(w / total for w in raw)
     # A self-check of the rules above, run once per cached vector.
@@ -120,7 +120,7 @@ def researcher_fss(
     entries = baselines.entries
     rid = researcher.researcher_id
 
-    # fractional_weights and CitationBaseline.lookup, inline, with their errors.
+    # fractional_weights and CitationBaseline.lookup inline, with their errors.
     total = 0.0
     for pub in publications:
         year = pub.year

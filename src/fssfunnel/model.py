@@ -92,6 +92,8 @@ class _Record:
 
 
 def _setters(cls: type) -> list:
+    """Each slot's member-descriptor ``__set__``: it writes as
+    ``object.__setattr__`` does, without a lookup by name per call."""
     return [getattr(cls, name).__set__ for name in cls.__slots__]
 
 
@@ -110,13 +112,13 @@ class ResearcherRecord(_Record):
             raise ValueError(f"years_active must be >= 0, got {years_active}")
         if not researcher_id.strip() or not institution_id.strip():
             raise ValueError("researcher_id and institution_id must not be blank")
-        _set_researcher_id(self, researcher_id)
-        _set_institution_id(self, institution_id)
-        _set_field_code(self, field_code)
+        _set_rid(self, researcher_id)
+        _set_inst(self, institution_id)
+        _set_field(self, field_code)
         # As AssessmentConfig coerces its Enum fields: a member passes, a
         # value maps to its member and anything else raises ValueError.
         _set_rank(self, rank if isinstance(rank, Rank) else Rank(rank))
-        _set_years_active(self, years_active)
+        _set_years(self, years_active)
 
 
 class AuthorSlot(_Record):
@@ -134,8 +136,8 @@ class AuthorSlot(_Record):
         if not institution_id.strip():
             raise ValueError("institution_id must not be blank")
         _set_position(self, position)
-        _set_slot_researcher_id(self, researcher_id)
-        _set_slot_institution_id(self, institution_id)
+        _set_slot_rid(self, researcher_id)
+        _set_slot_inst(self, institution_id)
 
 
 class PublicationRecord(_Record):
@@ -158,9 +160,9 @@ class PublicationRecord(_Record):
             raise ValueError(f"year must be >= 0, got {year}")
         if not publication_id.strip():
             raise ValueError("publication_id must not be blank")
-        _set_publication_id(self, publication_id)
+        _set_pid(self, publication_id)
         _set_year(self, year)
-        _set_subject_category(self, subject_category)
+        _set_category(self, subject_category)
         _set_citations(self, citations)
         _set_authors(self, authors if type(authors) is tuple else tuple(authors))
         _set_first_slots(self, None)
@@ -168,10 +170,9 @@ class PublicationRecord(_Record):
     def first_slot(self, researcher_id: str) -> int:
         """Index of the researcher's first byline slot; KeyError if it has none.
 
-        A byline of at most ``_SCANNED_BYLINE`` slots is scanned on each
-        request. A longer one is walked once to map each assessed id to its
-        first slot, and the map is kept if it holds more than one researcher,
-        so a consortium byline read by all of its authors is walked once."""
+        A short byline is scanned. A longer one maps each assessed id to its
+        first slot in one walk and keeps the map if it holds more than one
+        researcher, so a byline read by all of its authors is walked once."""
         authors = self.authors
         if len(authors) <= _SCANNED_BYLINE:
             if researcher_id is not None:  # an external slot's id, no researcher's
@@ -215,16 +216,11 @@ class CitationBaseline(_Record):
         return key in self.entries
 
 
-# Each field's slot setter, the member descriptor's ``__set__``: it writes the
-# slot as ``object.__setattr__`` does, without looking the name up per call.
-_set_researcher_id, _set_institution_id, _set_field_code, _set_rank, _set_years_active = (
-    _setters(ResearcherRecord)
+_set_rid, _set_inst, _set_field, _set_rank, _set_years = _setters(ResearcherRecord)
+_set_position, _set_slot_rid, _set_slot_inst = _setters(AuthorSlot)
+_set_pid, _set_year, _set_category, _set_citations, _set_authors, _set_first_slots = (
+    _setters(PublicationRecord)
 )
-_set_position, _set_slot_researcher_id, _set_slot_institution_id = _setters(AuthorSlot)
-(
-    _set_publication_id, _set_year, _set_subject_category, _set_citations, _set_authors,
-    _set_first_slots,
-) = _setters(PublicationRecord)
 (_set_entries,) = _setters(CitationBaseline)
 
 
@@ -356,7 +352,7 @@ def validate_dataset(
     ]
 
     known_ids = {rec.researcher_id for rec in researchers}
-    # An id set's size says whether any id repeats; only then is the walk that
+    # The one id set says whether any id repeats; only then is the walk that
     # names the repeats worth a second set.
     if len(known_ids) < len(researchers):
         errors.extend(
@@ -372,8 +368,7 @@ def validate_dataset(
     missing_baselines: set[tuple[int, str]] = set()
     by_researcher: dict[str, list[PublicationRecord] | tuple[PublicationRecord, ...]] = {}
     for pub in publications:
-        # One walk over the byline: its first slot off the positions 1..n
-        # (counted from 1; 0 if none) and its assessed ids in order.
+        # One walk: the first slot off 1..n (counted from 1; 0 if none) and the assessed ids.
         listed = []
         misplaced = count = 0
         for slot in pub.authors:
@@ -427,9 +422,7 @@ def _author_list_violations(
     pub: PublicationRecord, misplaced: int, listed: list[str], known_ids: set[str]
 ) -> list[DataViolation]:
     """The violations of a byline that ``validate_dataset``'s walk found at
-    fault, from that walk: ``misplaced`` counts the first slot off its
-    position from 1 (0 if none), and ``listed`` holds the assessed ids in
-    order."""
+    fault, from that walk's ``misplaced`` and ``listed``."""
     if not pub.authors:
         return [MalformedAuthorList(pub.publication_id, "empty author list")]
     errors: list[DataViolation] = []

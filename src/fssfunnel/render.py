@@ -49,8 +49,7 @@ class _Frame:
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError("frame needs non-empty data ranges")
 
-    # A figure maps its points as a stream, with the frame's constants taken
-    # once per stream rather than per point, and holds no list of pixels.
+    # Points map as a stream, with the frame's constants taken once per stream.
     def xs(self, values) -> Iterator[float]:
         x0, span, pixels = self.x0, self.x1 - self.x0, RIGHT - LEFT
         return (LEFT + (value - x0) / span * pixels for value in values)
@@ -152,8 +151,7 @@ def _axes(frame: _Frame, x_ticks, y_ticks,
 
 
 # Per-point elements, one marker per classification; ``%.2f`` writes what _px does.
-# Keyed by the member's ``_value_``, since hashing a member runs Enum's
-# Python-level ``__hash__``.
+# Keyed by value: hashing an Enum member runs Python code.
 _MARKER = {
     cls._value_: f'<circle class="marker {cls.value}" cx="%.2f" cy="%.2f" '
                  f'r="{POINT_RADIUS}" fill="{color}" stroke="#ffffff" stroke-width="0.8"/>'
