@@ -175,7 +175,7 @@ class PublicationRecord(_Record):
         researcher, so a byline read by all of its authors is walked once."""
         authors = self.authors
         if len(authors) <= _SCANNED_BYLINE:
-            if researcher_id is not None:  # an external slot's id, no researcher's
+            if researcher_id is not None:  # None is an external slot's id
                 i = 0
                 for slot in authors:
                     if slot.researcher_id == researcher_id:

@@ -233,13 +233,9 @@ def render_funnel_svg(report: FunnelReport) -> str:
     parts.append(_grand_mean_line(frame.y(fit.grand_mean)))
 
     summaries = report.summaries
-    parts += [
-        _MARKER[s.classification._value_] % xy
-        for s, xy in zip(summaries, zip(
-            frame.xs(s.size for s in summaries),
-            frame.ys(s.mean_transformed for s in summaries),
-        ))
-    ]
+    xs = frame.xs(s.size for s in summaries)
+    ys = frame.ys(s.mean_transformed for s in summaries)
+    parts += [_MARKER[s.classification._value_] % (x, y) for s, x, y in zip(summaries, xs, ys)]
     parts.append("</svg>\n")
     return "\n".join(parts)
 
