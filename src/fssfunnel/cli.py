@@ -24,7 +24,6 @@ import contextlib
 import csv
 import errno
 import gc
-import io
 import json
 import math
 import os
@@ -73,44 +72,34 @@ def _read_rows(path: str, expected_header: list[str]):
     ``line`` is the file line the row starts on, so a quoted field that spans
     lines does not shift the line named for the rows after it. A row that csv
     cannot read, such as one with a field over csv's size limit, is a
-    ParseError for the line it starts on. A byte that is not UTF-8 is named
-    only after every complete row above it, so the first defect is named."""
+    ParseError for the line it starts on. A byte that is not UTF-8 is a
+    defect of its cell (``_bad_byte``), named before any other defect of its
+    row, at the line the row starts on plus the ``\\n``s before it in the
+    row (a quoted field's lone ``\\r`` is not counted there)."""
     start = 1  # the line the next record starts on
-
-    def checked(lines, stop):
-        """The rows of ``lines``, read from line ``start``, until a record
-        runs past line ``stop``; that record is returned unchecked."""
-        nonlocal start
-        rows = csv.reader(lines)
-        skipped = start - 1
-        for row in rows:
-            line, start = start, skipped + rows.line_num + 1
-            if start > stop:
-                return row
-            if line == 1:
-                if row != expected_header:
-                    raise ParseError(
-                        path, 1, ",".join(row), f"expected header {','.join(expected_header)}"
-                    )
-            elif row:
-                if len(row) != len(expected_header):
-                    raise ParseError(
-                        path, line, expected_header[0],
-                        f"expected {len(expected_header)} fields, got {len(row)}",
-                    )
-                yield line, row
-
     try:
-        try:
-            with open(path, newline="", encoding="utf-8-sig") as handle:
-                yield from checked(handle, sys.maxsize)
-        except UnicodeDecodeError:
-            line, before, reason = _first_bad_byte(path)
-            # Decoding runs ahead of the rows: read those left, up to the byte's own.
-            lines = io.StringIO(before + "?", newline="").readlines()[start - 1:]
-            record = yield from checked(lines, start - 1 + len(lines))
-            column = expected_header[min(len(record), len(expected_header)) - 1]
-            raise ParseError(path, line, column, reason) from None
+        with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+            rows = csv.reader(handle)
+            for row in rows:
+                line, start = start, rows.line_num + 1
+                bad = not "".join(row).isascii() and _bad_byte(row)
+                if bad:
+                    index, before, reason = bad
+                    line += "".join(row[:index]).count("\n") + before.count("\n")
+                    column = expected_header[min(index, len(expected_header) - 1)]
+                    raise ParseError(path, line, column, reason)
+                if line == 1:
+                    if row != expected_header:
+                        raise ParseError(
+                            path, 1, ",".join(row), f"expected header {','.join(expected_header)}"
+                        )
+                elif row:
+                    if len(row) != len(expected_header):
+                        raise ParseError(
+                            path, line, expected_header[0],
+                            f"expected {len(expected_header)} fields, got {len(row)}",
+                        )
+                    yield line, row
         if start == 1:
             raise ParseError(path, 1, expected_header[0], "file is empty; header row required")
     except csv.Error as exc:
@@ -119,21 +108,18 @@ def _read_rows(path: str, expected_header: list[str]):
         raise IoError(path, exc.strerror or str(exc)) from exc
 
 
-def _first_bad_byte(path: str) -> tuple[int, str, str]:
-    """Line of the first byte of ``path`` that is not UTF-8, the file's text
-    before it, and a reason naming the byte."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        data.decode("utf-8")
-    except OSError as exc:
-        raise IoError(path, exc.strerror or str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        start = exc.start
-    else:
-        raise IoError(path, "file changed while it was read")
-    before = data[:start].decode("utf-8-sig")
-    return data.count(b"\n", 0, start) + 1, before, f"not UTF-8: byte 0x{data[start]:02x}"
+def _bad_byte(cells: list[str]) -> tuple[int, str, str] | None:
+    """The first byte that is not UTF-8 in ``cells``, text read with
+    ``errors="surrogateescape"``: (the index of its cell, the cell's text
+    before it, a reason naming it), or None. Such a byte is read as a lone
+    surrogate, which valid UTF-8 never decodes to."""
+    for index, cell in enumerate(cells):
+        try:
+            cell.encode()
+        except UnicodeEncodeError as exc:
+            byte = ord(cell[exc.start]) - 0xDC00
+            return index, cell[: exc.start], f"not UTF-8: byte 0x{byte:02x}"
+    return None
 
 
 def _ascii_number(convert, text: str):
@@ -333,21 +319,21 @@ def _convert(default, text: str):
 
 
 def parse_config_file(path: str) -> AssessmentConfig:
-    bad_byte = None
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
-    except UnicodeDecodeError:
-        # Named after the defects of the whole lines above it.
-        line_no, before, reason = _first_bad_byte(path)
-        text, _, partial = before.rpartition("\n")
-        bad_byte = ParseError(path, line_no, partial.partition("=")[0].strip(), reason)
 
     schema = _config_file_keys()
     seen: set[str] = set()
     entries: list[tuple[int, str, object]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
+        # A byte that is not UTF-8 comes before any other defect of its line,
+        # under the key before it.
+        bad = not line.isascii() and _bad_byte([line])
+        if bad:
+            _, before, reason = bad
+            raise ParseError(path, line_no, before.partition("=")[0].strip(), reason)
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -365,8 +351,6 @@ def parse_config_file(path: str) -> AssessmentConfig:
         except ValueError as exc:
             raise ParseError(path, line_no, key, str(exc)) from None
         entries.append((line_no, key, converted))
-    if bad_byte is not None:
-        raise bad_byte
 
     def config_of(count: int) -> AssessmentConfig | str:
         """The config of the first ``count`` entries, or the message of the invariant

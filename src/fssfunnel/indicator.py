@@ -120,7 +120,7 @@ def researcher_fss(
     entries = baselines.entries
     rid = researcher.researcher_id
 
-    # fractional_weights and CitationBaseline.lookup inline, with their errors.
+    # fractional_weights inline, with its error.
     total = 0.0
     for pub in publications:
         year = pub.year

@@ -206,15 +206,6 @@ class CitationBaseline(_Record):
                 )
         _set_entries(self, entries)
 
-    def lookup(self, year: int, subject_category: str) -> float:
-        try:
-            return self.entries[(year, subject_category)]
-        except KeyError:
-            raise MissingBaseline(year, subject_category) from None
-
-    def __contains__(self, key: tuple[int, str]) -> bool:
-        return key in self.entries
-
 
 _set_rid, _set_inst, _set_field, _set_rank, _set_years = _setters(ResearcherRecord)
 _set_position, _set_slot_rid, _set_slot_inst = _setters(AuthorSlot)

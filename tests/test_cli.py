@@ -1010,7 +1010,8 @@ def test_a_defect_above_a_bad_byte_is_named_first(tmp_path, read, data, message)
     assert str(caught.value) == f"{path}:{message}"
 
 
-# Past the reader's first decoded chunk, so the rows above the byte are read twice.
+# The byte lies past the reader's first decoded chunk, so the rows above it are
+# checked before the text that holds it is decoded.
 def test_a_defect_far_above_a_bad_byte_is_named_first(tmp_path):
     path = tmp_path / "researchers.csv"
     rows = "".join(f"r{i},A,Biochemistry,Full,3\n" for i in range(3000))
@@ -1023,6 +1024,71 @@ def test_a_defect_far_above_a_bad_byte_is_named_first(tmp_path):
     assert str(caught.value) == (
         f"{path}:3002: column 'researcher_id': duplicate researcher id 'r7' (first seen on line 9)"
     )
+
+
+# A bad byte's line is counted with the line ends that number the rows:
+# csv's for a CSV file, str.splitlines' for the config.
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        (read_researchers_csv,
+         b"researcher_id,institution_id,field_code,rank,years_active\r"
+         b"r1,A,Biochemistry,Full,3\rr2,A,Bio\xffchemistry,Full,3\r",
+         "3: column 'field_code': not UTF-8: byte 0xff"),
+        (parse_config_file, b"min_faculty=4\rperiod_start=\xff\n",
+         "2: column 'period_start': not UTF-8: byte 0xff"),
+        # A lone CR inside a quoted field ends a line for csv, so the next row
+        # starts on line 4.
+        (read_baselines_csv,
+         b'year,subject_category,mean_citations\n2008,"Plant\rscience",5\n2009,Bio\xff,1\n',
+         "4: column 'subject_category': not UTF-8: byte 0xff"),
+    ],
+    ids=["researchers-cr", "config-cr", "baselines-quoted-cr"],
+)
+def test_a_bad_byte_is_named_at_the_line_its_row_is_counted_on(tmp_path, read, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as caught:
+        read(str(path))
+    assert str(caught.value) == f"{path}:{message}"
+
+
+# Runs main on argv[1] and prints its exit code and how often each input
+# path in argv[2:] was opened.
+OPEN_COUNTS = """\
+import collections, json, sys
+from fssfunnel.cli import main
+inputs = set(sys.argv[2:])
+opened = collections.Counter()
+def count(event, args):
+    if event == "open" and args[0] in inputs:
+        opened[args[0]] += 1
+sys.addaudithook(count)
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, [opened[path] for path in sys.argv[2:]]]))
+"""
+
+
+@pytest.mark.parametrize("bad", [None, "researchers", "publications", "baselines", "config"])
+def test_each_input_is_opened_once(tmp_path, bad):
+    paths = write_fixture(tmp_path)
+    paths["config"] = str(tmp_path / "config.txt")
+    Path(paths["config"]).write_text("min_faculty=4\nperiod_start=2008\n", encoding="utf-8")
+    names = ["researchers", "publications", "baselines", "config"]
+    inputs = [paths[name] for name in names]
+    if bad is not None:  # in the last row, found after every row above it is read
+        target = Path(paths[bad])
+        target.write_bytes(target.read_bytes()[:-2] + b"\xff\n")
+    args = assess_args(paths, tmp_path, ["--config", paths["config"], "--quiet"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fssfunnel.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", OPEN_COUNTS, json.dumps(args), *inputs],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, counts = json.loads(result.stdout)
+    # Read in flag order, so a run stops opening files at the bad one.
+    read = len(names) if bad is None else names.index(bad) + 1
+    assert (code, counts) == (0 if bad is None else 1, [1] * read + [0] * (len(names) - read))
 
 
 def test_parse_error_names_file_line_and_column(tmp_path, capsys):

@@ -235,7 +235,7 @@ def _fresh_weights(authors, scheme):
     return [w / total for w in raw]
 
 
-def _reference_fss(rec, pubs, entries, config):
+def _reference_fss(rec, pubs, baselines, config):
     """FSS with fresh weights and a linear scan for the researcher's first slot."""
     total = 0.0
     for pub in pubs:
@@ -244,7 +244,7 @@ def _reference_fss(rec, pubs, entries, config):
             i for i, slot in enumerate(pub.authors)
             if slot.researcher_id == rec.researcher_id
         )
-        impact = pub.citations / entries.lookup(pub.year, pub.subject_category)
+        impact = pub.citations / baselines.entries[pub.year, pub.subject_category]
         total += impact * weights[index]
     return total / config.salary_coefficients[rec.rank] / rec.years_active
 

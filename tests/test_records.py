@@ -175,8 +175,7 @@ def test_result_records_are_built_by_keyword():
     assert report.fit is fit and report.transform is spec and report.summaries == (summary,)
     assert spec.bracket_used == (1e-9, 10.0) and spec.converged is True
     assert population.dropped_researchers == 1 and population.institutions == {"A": ()}
-    assert baselines.lookup(2009, "Biochemistry") == 5.0
-    assert (2009, "Biochemistry") in baselines and (2010, "Biochemistry") not in baselines
+    assert baselines.entries == {(2009, "Biochemistry"): 5.0}
     assert config.min_faculty == 2 and config.grand_mean_mode.value == "group_means"
 
 
