@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -199,7 +199,9 @@ def _slot_fields(path: str, line: int, part: str) -> tuple[int, str, str]:
 _POSITION = attrgetter("position")
 
 
-def read_publications_csv(path: str) -> list[PublicationRecord]:
+def read_publications_csv(
+    path: str, researchers: Iterable[ResearcherRecord] = ()
+) -> list[PublicationRecord]:
     """Publications in file order, each byline sorted by position.
 
     An external slot's text (``2:-:ext07``) recurs across bylines, so each
@@ -208,10 +210,17 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
     seed 3, 21,078 of 24,757 are distinct, where 93,455 external slots hold
     4,372 texts), so it is parsed, inline, where it occurs and never memoized. Each
     distinct year text is converted, and each category and id held, once
-    per call. Only clean values are memoized, so a bad text fails at its line."""
+    per call. The ids of ``researchers`` seed that sharing, so a slot naming
+    one of them holds the record's own id strings, not an equal copy; any
+    other id is read as without them. Only clean values are memoized, so a
+    bad text fails at its line."""
     records = []
     external: dict[str, AuthorSlot] = {}
     shared: dict[str, str] = {}
+    for r in researchers:
+        rid, inst = r.researcher_id, r.institution_id
+        shared[rid] = rid
+        shared[inst] = inst
     years: dict[str, int] = {}
     for line, row in _read_rows(path, PUBLICATION_HEADER):
         pid, year_text, category, citations_text, authors_cell = row
@@ -223,8 +232,9 @@ def read_publications_csv(path: str) -> list[PublicationRecord]:
         year = years.get(year_text)
         if year is None:
             year = years[year_text] = _parse_int(path, line, "year", year_text, 0)
-        # ASCII digits read alike here and in _parse_int, which takes any other text.
-        if citations_text.isdigit() and citations_text.isascii():
+        # A short run of ASCII digits reads alike here and in _parse_int, which
+        # takes any other text, a run too long for int() included.
+        if citations_text.isdigit() and citations_text.isascii() and len(citations_text) < 20:
             citations = int(citations_text)
         else:
             citations = _parse_int(path, line, "citations", citations_text, 0)
@@ -394,21 +404,22 @@ def _json_value(value):
 
 # The parts of the report that grow with the institution count are filled
 # into fixed templates: json's indenting encoder is pure Python and walks every
-# value, while these give the same bytes at one ``%`` per entry.
-_INSTITUTION = """\
+# value, while these give the same bytes at one ``%`` per entry. An
+# institution entry is its filled head, then its band texts, its rank and the
+# fixed texts between them as pieces of their own, so no entry copies them.
+_INSTITUTION_HEAD = """\
     {
       "id": %s,
       "size": %d,
       "mean_original": %s,
       "mean_transformed": %s,
       "classification": %s,
-      "inner_band": %s,
-      "outer_band": %s,
-      "rank_with_caveat": {
-        "rank": %d,
-        "caveat": CAVEAT
-      }
-    }""".replace("CAVEAT", encode_basestring_ascii(RANK_CAVEAT).replace("%", "%%"))
+      "inner_band": """
+_OUTER_BAND = ',\n      "outer_band": '
+_RANK = ',\n      "rank_with_caveat": {\n        "rank": '
+_CAVEAT = (
+    ',\n        "caveat": ' + encode_basestring_ascii(RANK_CAVEAT) + "\n      }\n    }"
+)
 _BAND = """{
         "z": %s,
         "lower": %s,
@@ -441,11 +452,12 @@ def _band(band) -> str:
 
 
 def _array(pieces: list[str], items, indent: str) -> None:
-    """Append to ``pieces`` a JSON array of already-indented item texts,
-    closed at ``indent``, without joining the items into one text."""
+    """Append to ``pieces`` a JSON array closed at ``indent``, each item
+    given as a tuple of its already-indented pieces after the separator
+    ``",\\n"``, without joining the items into one text."""
     opened = len(pieces)
     for item in items:
-        pieces += (",\n", item)
+        pieces += item
     if len(pieces) == opened:
         pieces.append("[]")
     else:
@@ -458,9 +470,12 @@ def emit_report(report: FunnelReport) -> str:
 
     The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``,
     which writes the small config, transform and fit blocks; a non-finite
-    float raises the same ValueError. Each distinct band's text is written
-    once. Every piece, each institution entry included, goes to one final
-    join, so the text is copied once."""
+    float raises the same ValueError. Each institution entry is written as
+    pieces: its head (id, size, the two means, the classification) filled
+    from one template, each distinct band's text, written once and shared by
+    every entry of that band, the entry's rank, and fixed texts shared by
+    every entry. Every piece goes to one final join, so the text is copied
+    once and no entry holds a copy of the texts it shares."""
     head = json.dumps(
         {
             "config": {
@@ -495,21 +510,27 @@ def emit_report(report: FunnelReport) -> str:
 
     pieces = [head[:-2], ',\n  "institutions": ']  # head without the closing "\n}"
     _array(pieces, (
-        _INSTITUTION % (
-            encode_basestring_ascii(s.institution_id),
-            s.size,
-            _number(s.mean_original),
-            _number(s.mean_transformed),
-            encode_basestring_ascii(s.classification.value),
+        (
+            ",\n",
+            _INSTITUTION_HEAD % (
+                encode_basestring_ascii(s.institution_id),
+                s.size,
+                _number(s.mean_original),
+                _number(s.mean_transformed),
+                encode_basestring_ascii(s.classification.value),
+            ),
             band(s.inner_band),
+            _OUTER_BAND,
             band(s.outer_band),
-            rankings[s.institution_id],
+            _RANK,
+            str(rankings[s.institution_id]),
+            _CAVEAT,
         )
         for s in report.summaries
     ), "  ")
     pieces.append(',\n  "diagnostics": {\n    "qq_points": ')
     _array(pieces, (
-        _QQ_POINT % (_number(x), _number(y)) for x, y in report.qq_points or ()
+        (",\n", _QQ_POINT % (_number(x), _number(y))) for x, y in report.qq_points or ()
     ), "    ")
     slope = report.size_slope
     pieces += (
@@ -603,7 +624,7 @@ def _read_and_score(
     counts of dropped researchers and institutions leave this call, so the
     input and researcher records are freed before the report is built."""
     researchers = read_researchers_csv(args.researchers)
-    publications = read_publications_csv(args.publications)
+    publications = read_publications_csv(args.publications, researchers)
     baselines = read_baselines_csv(args.baselines)
     config = parse_config_file(args.config) if args.config else AssessmentConfig()
     index = validate_dataset(researchers, publications, baselines, config)

@@ -62,6 +62,15 @@ class YearsOutOfRange(DataViolation):
         )
 
 
+class NonFiniteScore(DataViolation):
+    """A researcher's FSS is too large for a float: the citations over their
+    baselines, or their sum over salary and years, overflow."""
+
+    def __init__(self, researcher_id: str):
+        self.researcher_id = researcher_id
+        super().__init__(f"FSS of researcher {researcher_id!r} is too large for a float")
+
+
 class ValidationErrors(AssessmentError):
     """Bundle of every violation found while validating a dataset."""
 

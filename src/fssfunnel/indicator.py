@@ -9,9 +9,9 @@ active.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import fsum
+from math import fsum, isfinite
 
-from .errors import MissingBaseline
+from .errors import MissingBaseline, NonFiniteScore
 from .model import (
     AssessmentConfig,
     AuthorSlot,
@@ -109,6 +109,8 @@ def researcher_fss(
     citations over the (year, subject category) baseline mean, times this
     researcher's fractional weight, and the sum is divided by salary
     coefficient and years active. Publications outside the period are skipped.
+    An FSS too large for a float, from a citation count beyond a float's range
+    or a sum that overflows, raises NonFiniteScore.
     """
     if researcher.years_active < 1:
         raise ValueError(
@@ -141,5 +143,11 @@ def researcher_fss(
         baseline = entries.get((year, pub.subject_category))
         if baseline is None:
             raise MissingBaseline(year, pub.subject_category)
-        total += pub.citations / baseline * weights[index]
-    return total / config.salary_coefficients[researcher.rank] / researcher.years_active
+        try:
+            total += pub.citations / baseline * weights[index]
+        except OverflowError:  # a count beyond a float's range
+            raise NonFiniteScore(rid) from None
+    fss = total / config.salary_coefficients[researcher.rank] / researcher.years_active
+    if not isfinite(fss):
+        raise NonFiniteScore(rid)
+    return fss

@@ -502,6 +502,46 @@ def test_zero_pooled_sd_is_exit_three(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "citations, mean, code, message",
+    [
+        ("1" + "0" * 400, "5.0", 3,
+         "pipeline failed: FSS of researcher 'a1' is too large for a float"),
+        ("1" + "0" * 307, "0.001", 3,
+         "pipeline failed: FSS of researcher 'a1' is too large for a float"),
+        # Past int()'s 4,300 digits the cell is read, and rejected, as any
+        # other number cell is.
+        ("1" + "0" * 5000, "5.0", 1, "{publications}:2: column 'citations': not an integer"),
+    ],
+    ids=["count-beyond-a-float", "impact-beyond-a-float", "count-beyond-int-text"],
+)
+def test_a_score_too_large_for_a_float_is_one_error_line(tmp_path, citations, mean, code, message):
+    # Row q01 (2008, by a1): its count alone, or its count over a small
+    # baseline, is past a float's range. The command line runs in a child, so
+    # an uncaught exception would show as a traceback on its stderr.
+    paths = write_fixture(tmp_path)
+    publications = tmp_path / "publications.csv"
+    publications.write_text(publications.read_text().replace(
+        "q01,2008,Biochemistry,10,", f"q01,2008,Biochemistry,{citations},"
+    ))
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text(
+        baselines.read_text().replace("2008,Biochemistry,5.0", f"2008,Biochemistry,{mean}")
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fssfunnel.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "fssfunnel.cli", *assess_args(paths, tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: " + message.format(publications=publications))
+    assert result.stdout == ""
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_failed_write_leaves_no_output(tmp_path, capsys):
     paths = write_fixture(tmp_path)
     out = tmp_path / "out"
@@ -839,7 +879,9 @@ def test_researcher_records_are_freed_before_the_outputs_are_built(tmp_path, mon
     assert seen == [before]
 
 
-def test_output_stage_holds_about_two_copies_of_the_report(tmp_path, monkeypatch):
+def test_output_stage_holds_under_one_and_three_quarter_copies_of_the_report(
+    tmp_path, monkeypatch
+):
     # 2,000 institutions of 2-3 researchers: the outputs outgrow the inputs.
     fixture = tmp_path / "fixture"
     assert main([
@@ -869,9 +911,10 @@ def test_output_stage_holds_about_two_copies_of_the_report(tmp_path, monkeypatch
         tracemalloc.stop()
     # Every output is built, written and dropped in turn, and the report, the
     # largest, is copied once from its pieces: the output stage's peak is the
-    # pieces and the text, not several whole copies.
+    # text and the pieces, which hold each entry's variable part and share
+    # every fixed and band text, not several whole copies.
     length = len((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert peak - traced_at_report[0] <= 2.5 * length
+    assert peak - traced_at_report[0] <= 1.7 * length
 
 
 def test_publication_reader_peaks_near_the_size_it_returns(tmp_path):
@@ -1373,6 +1416,48 @@ def test_readers_hold_each_repeated_value_once(tmp_path):
     institutions = [slot.institution_id for slot in slots if slot.institution_id == "U01"]
     assert len(institutions) == 4
     assert all(inst is institutions[0] for inst in institutions)
+
+
+def test_slots_hold_the_assessed_researchers_own_ids(tmp_path, monkeypatch):
+    # The command line hands the researchers it read to the publication
+    # reader, so a slot naming one holds the record's own id strings.
+    paths = write_fixture(tmp_path)
+    seen = []
+
+    def spy(researchers, publications, baselines, config):
+        seen.append((researchers, publications))
+        return validate(researchers, publications, baselines, config)
+
+    validate = fssfunnel.cli.validate_dataset
+    monkeypatch.setattr(fssfunnel.cli, "validate_dataset", spy)
+    assert main(assess_args(paths, tmp_path, ["--quiet"])) == 0
+    [(researchers, publications)] = seen
+    by_id = {r.researcher_id: r for r in researchers}
+    slots = [slot for p in publications for slot in p.authors if slot.researcher_id is not None]
+    assert len(slots) == 17
+    for slot in slots:
+        record = by_id[slot.researcher_id]
+        assert slot.researcher_id is record.researcher_id
+        assert slot.institution_id is record.institution_id
+    # The seeded read returns the records an unseeded one does.
+    assert read_publications_csv(paths["publications"]) == publications
+
+
+def test_an_id_outside_the_given_researchers_is_still_read(tmp_path):
+    paths = write_fixture(tmp_path)
+    publications = tmp_path / "publications.csv"
+    publications.write_text(publications.read_text() + "q90,2008,Biochemistry,5,1:zz:Z;2:a1:A\n")
+    researchers = read_researchers_csv(paths["researchers"])
+    records = read_publications_csv(str(publications), researchers)
+    assert records == read_publications_csv(str(publications))
+    assert records[-1].authors == (AuthorSlot(1, "zz", "Z"), AuthorSlot(2, "a1", "A"))
+    assert records[-1].authors[1].researcher_id is researchers[0].researcher_id
+    with pytest.raises(ValidationErrors) as caught:
+        validate_dataset(researchers, records, read_baselines_csv(paths["baselines"]),
+                         AssessmentConfig())
+    assert [str(e) for e in caught.value.errors] == [
+        "publication 'q90' references unknown researcher 'zz'"
+    ]
 
 
 def test_rows_sharing_an_external_slot_text_share_its_slot(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fssfunnel import indicator
-from fssfunnel.errors import MissingBaseline
+from fssfunnel.errors import MissingBaseline, NonFiniteScore
 from fssfunnel.funnel import build_funnel_report
 from fssfunnel.indicator import fractional_weights, researcher_fss
 from fssfunnel.model import AssessmentConfig, Rank, WeightingScheme, validate_dataset
@@ -153,6 +153,34 @@ def test_fss_zero_exactly_when_no_cited_publications():
     rec = researcher("r1", years=3)
     pubs = [publication("p1", 0, byline("u01", researcher_ids=["r1"]))]
     assert researcher_fss(rec, pubs, baseline(), CONFIG) == 0.0
+
+
+@pytest.mark.parametrize(
+    "citations, mean, salary",
+    [
+        (10**400, 5.0, 1.0),  # a count beyond a float's range
+        (10**307, 0.001, 1.0),  # a finite count over a small baseline
+        (10**308, 1.0, 1.0),  # a sum of two finite impacts
+        (10**307, 1.0, 0.01),  # a finite sum over a small salary coefficient
+    ],
+    ids=["count", "impact", "sum", "salary"],
+)
+def test_fss_too_large_for_a_float_is_a_typed_error(citations, mean, salary):
+    rec = researcher("r1", years=1)
+    pubs = [publication(f"p{i}", citations, byline("u01", researcher_ids=["r1"])) for i in "12"]
+    config = AssessmentConfig(
+        salary_coefficients={**AssessmentConfig.salary_coefficients, Rank.ASSISTANT: salary}
+    )
+    with pytest.raises(NonFiniteScore) as caught:
+        researcher_fss(rec, pubs, baseline({(2008, "Biochemistry"): mean}), config)
+    assert str(caught.value) == "FSS of researcher 'r1' is too large for a float"
+    assert caught.value.researcher_id == "r1"
+
+
+def test_fss_just_inside_a_floats_range_is_kept():
+    rec = researcher("r1", years=1)
+    pub = publication("p", 10**308, byline("u01", researcher_ids=["r1"]))
+    assert researcher_fss(rec, [pub], baseline({(2008, "Biochemistry"): 1.0}), CONFIG) == 1e308
 
 
 def test_fss_rejects_zero_years_active():
