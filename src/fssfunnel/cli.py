@@ -30,11 +30,12 @@ import os
 import sys
 from collections.abc import Callable, Iterable
 from enum import Enum
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 
-from .errors import AssessmentError, IoError, ParseError, ValidationErrors
+from .errors import AssessmentError, IoError, ParseError, ValidationErrors, _shown
 from .funnel import Classification, FunnelReport, build_funnel_report
 from .indicator import researcher_fss
 from .model import (
@@ -90,8 +91,12 @@ def _read_rows(path: str, expected_header: list[str]):
                     raise ParseError(path, line, column, reason)
                 if line == 1:
                     if row != expected_header:
+                        # Named by its first cell that differs, or the first one it lacks.
+                        pairs = zip_longest(row, expected_header)
+                        got, want = next(pair for pair in pairs if pair[0] != pair[1])
+                        column = want if got is None else got
                         raise ParseError(
-                            path, 1, ",".join(row), f"expected header {','.join(expected_header)}"
+                            path, 1, column, f"expected header {','.join(expected_header)}"
                         )
                 elif row:
                     if len(row) != len(expected_header):
@@ -136,9 +141,9 @@ def _parse_int(path: str, line: int, column: str, text: str, minimum: int) -> in
     try:
         value = _ascii_number(int, text)
     except ValueError:
-        raise ParseError(path, line, column, f"not an integer: {text!r}") from None
+        raise ParseError(path, line, column, f"not an integer: {_shown(text)}") from None
     if value < minimum:
-        raise ParseError(path, line, column, f"must be >= {minimum}, got {value}")
+        raise ParseError(path, line, column, f"must be >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -161,13 +166,13 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
         if first != line:
             raise ParseError(
                 path, line, "researcher_id",
-                f"duplicate researcher id {rid!r} (first seen on line {first})",
+                f"duplicate researcher id {_shown(rid)} (first seen on line {first})",
             )
         rank = _RANK_BY_NAME.get(rank_text.strip().lower())
         if rank is None:
             raise ParseError(
                 path, line, "rank",
-                f"expected one of Assistant/Associate/Full, got {rank_text!r}",
+                f"expected one of Assistant/Associate/Full, got {_shown(rank_text)}",
             )
         years = tenures.get(years_text)
         if years is None:
@@ -185,14 +190,14 @@ def _slot_fields(path: str, line: int, part: str) -> tuple[int, str, str]:
     if len(fields) != 3:
         raise ParseError(
             path, line, "authors",
-            f"slot {part!r} is not position:researcher_id:institution_id",
+            f"slot {_shown(part)} is not position:researcher_id:institution_id",
         )
     pos_text, rid, inst = fields
     position = _parse_int(path, line, "authors", pos_text.strip(), 1)
     rid, inst = rid.strip(), inst.strip()
     if not rid or not inst:
         missing = "institution" if rid else "researcher id"
-        raise ParseError(path, line, "authors", f"slot {part!r} has no {missing}")
+        raise ParseError(path, line, "authors", f"slot {_shown(part)} has no {missing}")
     return position, rid, inst
 
 
@@ -276,7 +281,7 @@ def read_baselines_csv(path: str) -> CitationBaseline:
             mean = _ascii_number(float, mean_text)
         except ValueError:
             raise ParseError(
-                path, line, "mean_citations", f"not a number: {mean_text!r}"
+                path, line, "mean_citations", f"not a number: {_shown(mean_text)}"
             ) from None
         if not math.isfinite(mean) or mean <= 0:
             raise ParseError(
@@ -284,7 +289,9 @@ def read_baselines_csv(path: str) -> CitationBaseline:
             )
         key = (year, category)
         if key in entries:
-            raise ParseError(path, line, "year", f"duplicate baseline entry {key}")
+            raise ParseError(
+                path, line, "year", f"duplicate baseline entry ({year}, {_shown(category)})"
+            )
         entries[key] = mean
     return CitationBaseline(entries)
 
@@ -315,16 +322,16 @@ def _convert(default, text: str):
     if isinstance(default, Enum):
         allowed = sorted(member.value for member in type(default))
         if text not in allowed:
-            raise ValueError(f"expected one of {allowed}, got {text!r}")
+            raise ValueError(f"expected one of {allowed}, got {_shown(text)}")
         return type(default)(text)
     try:
         if not isinstance(default, tuple):
             return _ascii_number(type(default), text)
         value = tuple(_ascii_number(type(default[0]), part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"bad value {text!r}") from None
+        raise ValueError(f"bad value {_shown(text)}") from None
     if len(value) != len(default):
-        raise ValueError(f"expected {len(default)} values, got {text!r}")
+        raise ValueError(f"expected {len(default)} values, got {_shown(text)}")
     return value
 
 

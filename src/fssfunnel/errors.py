@@ -3,9 +3,25 @@
 Dataset validation collects individual violations (subclasses of
 :class:`DataViolation`) and raises them bundled in :class:`ValidationErrors`,
 so one ingestion run surfaces every data problem instead of the first.
+A message shows each input text it names through :func:`_shown`, so a cell of
+any length gives a line of bounded length.
 """
 
 from __future__ import annotations
+
+# The most characters of an input text that a message shows.
+_SHOWN = 100
+
+
+def _shown(value: str | int) -> str:
+    """An input text or number as a message shows it: its repr, or, if that
+    is longer than ``_SHOWN`` characters, the repr's first ``_SHOWN``
+    characters and the full length of the text."""
+    shown = repr(value)
+    if len(shown) <= _SHOWN:
+        return shown
+    length = len(value) if isinstance(value, str) else len(shown)
+    return f"{shown[:_SHOWN]}... ({length} characters)"
 
 
 class AssessmentError(Exception):
@@ -20,26 +36,26 @@ class MissingBaseline(DataViolation):
     def __init__(self, year: int, category: str):
         self.year = year
         self.category = category
-        super().__init__(f"no citation baseline for ({year}, {category!r})")
+        super().__init__(f"no citation baseline for ({year}, {_shown(category)})")
 
 
 class DuplicateResearcherId(DataViolation):
     def __init__(self, researcher_id: str):
         self.researcher_id = researcher_id
-        super().__init__(f"duplicate researcher id {researcher_id!r}")
+        super().__init__(f"duplicate researcher id {_shown(researcher_id)}")
 
 
 class DuplicatePublicationId(DataViolation):
     def __init__(self, publication_id: str):
         self.publication_id = publication_id
-        super().__init__(f"duplicate publication id {publication_id!r}")
+        super().__init__(f"duplicate publication id {_shown(publication_id)}")
 
 
 class MalformedAuthorList(DataViolation):
     def __init__(self, publication_id: str, reason: str):
         self.publication_id = publication_id
         self.reason = reason
-        super().__init__(f"publication {publication_id!r}: {reason}")
+        super().__init__(f"publication {_shown(publication_id)}: {reason}")
 
 
 class UnknownResearcherRef(DataViolation):
@@ -47,7 +63,8 @@ class UnknownResearcherRef(DataViolation):
         self.publication_id = publication_id
         self.researcher_id = researcher_id
         super().__init__(
-            f"publication {publication_id!r} references unknown researcher {researcher_id!r}"
+            f"publication {_shown(publication_id)} references unknown researcher "
+            f"{_shown(researcher_id)}"
         )
 
 
@@ -57,7 +74,7 @@ class YearsOutOfRange(DataViolation):
         self.years_active = years_active
         self.period_length = period_length
         super().__init__(
-            f"researcher {researcher_id!r}: years_active {years_active} exceeds "
+            f"researcher {_shown(researcher_id)}: years_active {_shown(years_active)} exceeds "
             f"the {period_length}-year observation period"
         )
 
@@ -68,7 +85,7 @@ class NonFiniteScore(DataViolation):
 
     def __init__(self, researcher_id: str):
         self.researcher_id = researcher_id
-        super().__init__(f"FSS of researcher {researcher_id!r} is too large for a float")
+        super().__init__(f"FSS of researcher {_shown(researcher_id)} is too large for a float")
 
 
 class ValidationErrors(AssessmentError):
@@ -103,4 +120,4 @@ class ParseError(AssessmentError):
         self.line = line
         self.column = column
         self.reason = reason
-        super().__init__(f"{file}:{line}: column {column!r}: {reason}")
+        super().__init__(f"{file}:{line}: column {_shown(column)}: {reason}")

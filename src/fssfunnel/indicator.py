@@ -109,6 +109,7 @@ def researcher_fss(
     citations over the (year, subject category) baseline mean, times this
     researcher's fractional weight, and the sum is divided by salary
     coefficient and years active. Publications outside the period are skipped.
+    The terms are summed with ``fsum``, so their order does not move a bit.
     An FSS too large for a float, from a citation count beyond a float's range
     or a sum that overflows, raises NonFiniteScore.
     """
@@ -123,31 +124,31 @@ def researcher_fss(
     rid = researcher.researcher_id
 
     # fractional_weights inline, with its error.
-    total = 0.0
-    for pub in publications:
-        year = pub.year
-        if not start <= year <= end:
-            continue
-        authors = pub.authors
-        if not authors:
-            fractional_weights(authors)  # raises its ValueError for an empty byline
-        weights = _weights_for(
-            len(authors), authors[0].institution_id == authors[-1].institution_id, uniform
-        )
-        try:
-            index = pub.first_slot(rid)
-        except KeyError:
-            raise ValueError(
-                f"publication {pub.publication_id!r} is not authored by {rid!r}"
-            ) from None
-        baseline = entries.get((year, pub.subject_category))
-        if baseline is None:
-            raise MissingBaseline(year, pub.subject_category)
-        try:
-            total += pub.citations / baseline * weights[index]
-        except OverflowError:  # a count beyond a float's range
-            raise NonFiniteScore(rid) from None
-    fss = total / config.salary_coefficients[researcher.rank] / researcher.years_active
+    terms = []
+    try:
+        for pub in publications:
+            year = pub.year
+            if not start <= year <= end:
+                continue
+            authors = pub.authors
+            if not authors:
+                fractional_weights(authors)  # raises its ValueError for an empty byline
+            weights = _weights_for(
+                len(authors), authors[0].institution_id == authors[-1].institution_id, uniform
+            )
+            try:
+                index = pub.first_slot(rid)
+            except KeyError:
+                raise ValueError(
+                    f"publication {pub.publication_id!r} is not authored by {rid!r}"
+                ) from None
+            baseline = entries.get((year, pub.subject_category))
+            if baseline is None:
+                raise MissingBaseline(year, pub.subject_category)
+            terms.append(pub.citations / baseline * weights[index])
+        fss = fsum(terms) / config.salary_coefficients[researcher.rank] / researcher.years_active
+    except OverflowError:  # a count beyond a float's range, or a sum beyond it in fsum
+        raise NonFiniteScore(rid) from None
     if not isfinite(fss):
         raise NonFiniteScore(rid)
     return fss

@@ -23,6 +23,7 @@ from .errors import (
     UnknownResearcherRef,
     ValidationErrors,
     YearsOutOfRange,
+    _shown,
 )
 
 
@@ -316,7 +317,6 @@ AssessablePopulation.__doc__ = """Researchers kept after the exclusion rules: in
 id -> its members, institutions in id order and members in researcher-id order."""
 
 
-_PUBLICATION_ID = attrgetter("publication_id")
 _RESEARCHER_ID = attrgetter("researcher_id")
 
 
@@ -333,7 +333,7 @@ def validate_dataset(
     gets its byline checks but needs no baseline, because it is never
     scored. Raises :class:`ValidationErrors` carrying all problems, period
     violations first; on success returns the index from researcher id to
-    the publications that list it, in publication-id order. A researcher
+    the publications that list it, in input order. A researcher
     with no publications is not a key. Inputs are never mutated.
     """
     errors: list[DataViolation] = [
@@ -388,11 +388,9 @@ def validate_dataset(
 
     if errors:
         raise ValidationErrors(errors)
-    # Publication-id order makes each FSS sum independent of row order; a
-    # tuple drops the spare capacity a list would keep through scoring. Each
+    # A tuple drops the spare capacity a list would keep through scoring. Each
     # list is replaced in place, so it is freed before the next is copied.
     for rid, pubs in by_researcher.items():
-        pubs.sort(key=_PUBLICATION_ID)
         by_researcher[rid] = tuple(pubs)
     return by_researcher
 
@@ -423,14 +421,14 @@ def _author_list_violations(
                 pub.publication_id,
                 f"author positions must run 1..{len(pub.authors)} in byline "
                 f"order; slot {misplaced - 1} has position "
-                f"{pub.authors[misplaced - 1].position}",
+                f"{_shown(pub.authors[misplaced - 1].position)}",
             )
         )
     duplicated = set(_repeated(listed))
     for rid in sorted(duplicated):
         errors.append(
             MalformedAuthorList(
-                pub.publication_id, f"researcher {rid!r} occupies multiple author slots"
+                pub.publication_id, f"researcher {_shown(rid)} occupies multiple author slots"
             )
         )
     for rid in listed:
@@ -444,8 +442,9 @@ def apply_exclusions(
 ) -> AssessablePopulation:
     """Drop short-tenure researchers, then undersized institutions, in that order.
 
-    The one place researchers are grouped by institution; sorting each group
-    by researcher id makes the funnel's sums independent of row order.
+    The one place researchers are grouped by institution. Institutions and
+    each one's members are in id order, whatever the row order, so a library
+    caller that walks the population sees one stable order.
     """
     groups: dict[str, list[ResearcherRecord]] = {}
     dropped_researchers = 0

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from enum import Enum
@@ -510,8 +513,10 @@ def test_zero_pooled_sd_is_exit_three(tmp_path, capsys):
         ("1" + "0" * 307, "0.001", 3,
          "pipeline failed: FSS of researcher 'a1' is too large for a float"),
         # Past int()'s 4,300 digits the cell is read, and rejected, as any
-        # other number cell is.
-        ("1" + "0" * 5000, "5.0", 1, "{publications}:2: column 'citations': not an integer"),
+        # other number cell is, and shown cut to 100 characters.
+        ("1" + "0" * 5000, "5.0", 1,
+         "{publications}:2: column 'citations': not an integer: '1"
+         + "0" * 98 + "... (5001 characters)"),
     ],
     ids=["count-beyond-a-float", "impact-beyond-a-float", "count-beyond-int-text"],
 )
@@ -540,6 +545,78 @@ def test_a_score_too_large_for_a_float_is_one_error_line(tmp_path, citations, me
     assert lines[0].startswith("error: " + message.format(publications=publications))
     assert result.stdout == ""
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "header, column",
+    [
+        ("researcher_id,institution,field_code,rank,years_active", "institution"),
+        ("researcher_id,institution_id,field_code,rank", "years_active"),
+        ("researcher_id,institution_id,field_code,rank,years_active,note", "note"),
+        ("x" * 5000, "x" * 5000),
+    ],
+    ids=["renamed", "missing", "extra", "long"],
+)
+def test_a_header_that_differs_is_named_by_its_first_differing_column(tmp_path, header, column):
+    path = tmp_path / "researchers.csv"
+    path.write_text(f"{header}\nr1,A,Biochemistry,Full,3\n", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        read_researchers_csv(str(path))
+    assert caught.value.column == column
+    assert str(caught.value).endswith(
+        ": expected header researcher_id,institution_id,field_code,rank,years_active"
+    )
+    assert len(str(caught.value)) < len(str(path)) + 250
+
+
+# Texts that input files hold by mistake, or that sit at a reader's edges: a
+# float's range, int()'s digit limit, a byte that is not UTF-8, line ends,
+# quoting and the byline's separators.
+MUTATION_TOKENS = [
+    b"1e308", b"1" + b"0" * 400, b"nan", b"-0", b"\xff", b"\r", b"\n", b'"', b",", b";",
+    b":", b"-", b"\x00", b"",
+]
+# The longest stderr line that a run may print beyond its file's path: two
+# input texts each shown cut to errors._SHOWN characters, and fixed words.
+MAX_LINE_BEYOND_PATH = 400
+
+
+# Edits of the fixture's files, its config included: each cuts up to three
+# bytes at one place of one file and puts a token there.
+fixture_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["researchers", "publications", "baselines", "config"]),
+        st.integers(0, 2000),
+        st.integers(0, 3),
+        st.sampled_from(MUTATION_TOKENS),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(fixture_edits)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_no_input_ends_in_a_traceback_or_an_unbounded_line(tmp_path_factory, edits):
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as name:
+        directory = Path(name)
+        paths = write_fixture(directory)
+        paths["config"] = str(directory / "config.txt")
+        Path(paths["config"]).write_text(NON_DEFAULT_CONFIG, encoding="utf-8")
+        for file, at, cut, token in edits:
+            data = Path(paths[file]).read_bytes()
+            at %= len(data) + 1
+            Path(paths[file]).write_bytes(data[:at] + token + data[at + cut:])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(assess_args(paths, directory, ["--config", paths["config"]]))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        for line in stderr.getvalue().splitlines():
+            assert len(line.replace(name, "")) <= MAX_LINE_BEYOND_PATH, line
+        outputs = ["report.json", "funnel.svg", "qq.svg", "caterpillar.svg"]
+        if code:
+            assert not any((directory / output).exists() for output in outputs)
 
 
 def test_failed_write_leaves_no_output(tmp_path, capsys):

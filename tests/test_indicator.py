@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -144,6 +145,24 @@ def test_fss_skips_publications_outside_the_period():
     assert researcher_fss(rec, edges, baseline({(2012, "Biochemistry"): 5.0}), CONFIG) == score
 
 
+def test_fss_does_not_depend_on_the_order_of_its_publications():
+    # Impacts 1.0, 1e-16 and 1e-16: added left to right, 1.0 first gives 1.0
+    # and 1.0 last gives 1.0000000000000002. The exact sum rounds to the latter.
+    rec = researcher("r1", years=1)
+    means = {
+        (2008, "Biochemistry"): 1.0, (2009, "Biochemistry"): 1e16, (2010, "Biochemistry"): 1e16,
+    }
+    pubs = [
+        publication(f"p{year}", 1, byline("u01", researcher_ids=["r1"]), year=year)
+        for year, _ in means
+    ]
+    scores = {
+        researcher_fss(rec, order, baseline(means), CONFIG).hex()
+        for order in itertools.permutations(pubs)
+    }
+    assert scores == {(1.0 + 2e-16).hex()}
+
+
 def test_fss_no_publications_is_zero():
     score = researcher_fss(researcher("r1"), [], baseline(), CONFIG)
     assert score == 0.0
@@ -264,8 +283,9 @@ def _fresh_weights(authors, scheme):
 
 
 def _reference_fss(rec, pubs, baselines, config):
-    """FSS with fresh weights and a linear scan for the researcher's first slot."""
-    total = 0.0
+    """FSS with fresh weights and a linear scan for the researcher's first
+    slot, its terms summed with ``math.fsum`` as the package sums them."""
+    terms = []
     for pub in pubs:
         weights = _fresh_weights(pub.authors, config.weighting_scheme)
         index = next(
@@ -273,8 +293,8 @@ def _reference_fss(rec, pubs, baselines, config):
             if slot.researcher_id == rec.researcher_id
         )
         impact = pub.citations / baselines.entries[pub.year, pub.subject_category]
-        total += impact * weights[index]
-    return total / config.salary_coefficients[rec.rank] / rec.years_active
+        terms.append(impact * weights[index])
+    return math.fsum(terms) / config.salary_coefficients[rec.rank] / rec.years_active
 
 
 # A byline that names r1 at least once; ids may repeat, as on the library

@@ -1,7 +1,10 @@
 """The package sums floats with ``math.fsum`` only. The built-in ``sum`` of
 floats rounds at every step before CPython 3.12 and compensates from 3.12 on,
 so a float ``sum`` would make report bytes depend on the CPython version. The
-built-in is kept at the listed sites, which add integers."""
+built-in is kept at the listed sites, which add integers. A running ``+=`` of
+floats rounds at every step, so its result depends on the order of its terms;
+it is kept at the listed sites, which count, concatenate or step a solver or a
+tick, not accumulate data."""
 
 import ast
 from pathlib import Path
@@ -18,9 +21,37 @@ INTEGER_SUMS = [
     ("synth.py", "generate_synthetic_dataset", "targets"),
 ]
 
+# (module, enclosing function, the target of the ``+=``), in source order.
+# Two add floats, and neither sums data: ``_nice_ticks``'s ``value`` steps
+# along an axis and ``solve_zero_skew``'s ``b`` is the Brent step. The rest
+# add integers or concatenate lists and strings.
+AUGMENTED_ADDITIONS = [
+    ("cli.py", "_read_rows", "line"),
+    ("cli.py", "_array", "pieces"),
+    ("cli.py", "emit_report", "pieces"),
+    ("funnel.py", "build_funnel_report", "start"),
+    ("model.py", "first_slot", "i"),
+    ("model.py", "validate_dataset", "count"),
+    ("model.py", "apply_exclusions", "dropped_researchers"),
+    ("render.py", "_nice_ticks", "value"),
+    ("render.py", "render_funnel_svg", "parts"),
+    ("render.py", "render_funnel_svg", "parts"),
+    ("render.py", "render_qq_svg", "parts"),
+    ("render.py", "render_qq_svg", "parts"),
+    ("render.py", "render_caterpillar_svg", "y_values"),
+    ("render.py", "render_caterpillar_svg", "parts"),
+    ("render.py", "render_caterpillar_svg", "parts"),
+    ("synth.py", "_institution_sizes", "sizes[index]"),
+    ("synth.py", "generate_synthetic_dataset", "index"),
+    ("synth.py", "_append_publications", "serial"),
+    ("synth.py", "_append_publications", "serial"),
+    ("transform.py", "solve_zero_skew", "b"),
+]
 
-def builtin_sums(module: str, source: str) -> list[tuple[str, str | None, str | None]]:
-    """A site for each reference to the name ``sum``, in source order."""
+
+def _sites(module: str, source: str, wanted) -> list[tuple[str, str | None, str | None]]:
+    """A site for each node that ``wanted`` accepts, in source order: its
+    enclosing function and the target of the assignment it is part of."""
     sites = []
 
     def visit(node, function, target):
@@ -29,13 +60,28 @@ def builtin_sums(module: str, source: str) -> list[tuple[str, str | None, str | 
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
             target = names[0] if names else None
-        elif isinstance(node, ast.Name) and node.id == "sum":
+        elif isinstance(node, ast.AugAssign):
+            target = ast.unparse(node.target)
+        if wanted(node):
             sites.append((module, function, target))
         for child in ast.iter_child_nodes(node):
             visit(child, function, target)
 
     visit(ast.parse(source), None, None)
     return sites
+
+
+def builtin_sums(module: str, source: str) -> list[tuple[str, str | None, str | None]]:
+    """A site for each reference to the name ``sum``, in source order."""
+    return _sites(module, source, lambda node: isinstance(node, ast.Name) and node.id == "sum")
+
+
+def augmented_additions(module: str, source: str) -> list[tuple[str, str | None, str | None]]:
+    """A site for each ``+=``, in source order."""
+    return _sites(
+        module, source,
+        lambda node: isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add),
+    )
 
 
 def test_the_builtin_sum_adds_integers_only_at_the_listed_sites():
@@ -54,4 +100,25 @@ def test_a_new_sum_is_reported():
     )
     assert builtin_sums("m.py", source) == [
         ("m.py", "f", "total"), ("m.py", "f", None), ("m.py", None, "mean"),
+    ]
+
+
+def test_the_package_adds_with_plus_equals_only_at_the_listed_sites():
+    found = []
+    for module in MODULES:
+        found += augmented_additions(module, (PACKAGE / module).read_text(encoding="utf-8"))
+    assert found == AUGMENTED_ADDITIONS
+
+
+def test_a_new_accumulator_is_reported():
+    source = (
+        "def f(values):\n"
+        "    total = 0.0\n"
+        "    for x in values:\n"
+        "        total += x\n"
+        "    counts[x] += 1\n"
+        "    return total\n"
+    )
+    assert augmented_additions("m.py", source) == [
+        ("m.py", "f", "total"), ("m.py", "f", "counts[x]"),
     ]
