@@ -9,15 +9,27 @@ any length gives a line of bounded length.
 
 from __future__ import annotations
 
+from math import log10
+
 # The most characters of an input text that a message shows.
 _SHOWN = 100
 
 
-def _shown(value: str | int) -> str:
-    """An input text or number as a message shows it: its repr, or, if that
-    is longer than ``_SHOWN`` characters, the repr's first ``_SHOWN``
-    characters and the full length of the text."""
-    shown = repr(value)
+def _shown(value) -> str:
+    """An input text, number or other value as a message shows it: its repr,
+    or, if that is longer than ``_SHOWN`` characters, the repr's first
+    ``_SHOWN`` characters and the full length of the text. An int too long
+    for ``repr`` (past ``sys.get_int_max_str_digits()``) is shown by its
+    number of digits."""
+    try:
+        shown = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        # 2**(b-1) <= |value| < 2**b, so it has d or d + 1 digits, d as below.
+        magnitude = abs(value)
+        digits = int((magnitude.bit_length() - 1) * log10(2)) + 1
+        return f"<int of {digits + (magnitude >= 10**digits)} digits>"
     if len(shown) <= _SHOWN:
         return shown
     length = len(value) if isinstance(value, str) else len(shown)

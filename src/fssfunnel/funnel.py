@@ -17,7 +17,7 @@ from math import fsum, log, sqrt
 # about 0.5 MB and 5 ms (fractions, decimal) for this one function.
 from _statistics import _normal_dist_inv_cdf
 
-from .errors import DegenerateSample
+from .errors import DegenerateSample, _shown
 from .model import AssessmentConfig, GrandMeanMode, SkewnessTarget
 from .transform import (
     TransformSpec,
@@ -71,7 +71,7 @@ def fit_pooled(
         raise ValueError("fit_pooled needs at least one group")
     sizes = [len(values) for _, values in groups]
     if 0 in sizes:
-        raise ValueError(f"group {groups[sizes.index(0)][0]!r} is empty")
+        raise ValueError(f"group {_shown(groups[sizes.index(0)][0])} is empty")
 
     total_n = sum(sizes)
     group_count = len(groups)
@@ -178,18 +178,19 @@ def build_funnel_report(
     """Run transform, fit, bands, classification, and diagnostics end to end
     on each institution's individual values (FSS, or any other indicator).
 
-    Institutions are ordered by id throughout, so identical inputs produce an
-    identical report. An institution with no values, or with a value that is
-    not finite and >= 0, raises ValueError before anything is solved. A pooled
-    SD of 0 raises DegenerateSample. Diagnostics that need more institutions
-    than the report has (quantile plot, size regression) are set to None
-    rather than failing the whole report.
+    The one place institutions are ordered: by id throughout, so identical
+    inputs, in any order, produce an identical report. An institution with no
+    values, or with a value that is not finite and >= 0, raises ValueError
+    before anything is solved. A pooled SD of 0 raises DegenerateSample.
+    Diagnostics that need more institutions than the report has (quantile
+    plot, size regression) are set to None rather than failing the whole
+    report.
     """
     original_groups: Groups = []
     for inst in sorted(values_by_institution):
-        values = _finite_nonnegative(values_by_institution[inst], f"institution {inst!r}")
+        values = _finite_nonnegative(values_by_institution[inst], "institution", inst)
         if not values:
-            raise ValueError(f"institution {inst!r} has no values")
+            raise ValueError(f"institution {_shown(inst)} has no values")
         original_groups.append((inst, values))
 
     pooled_values = [v for _, values in original_groups for v in values]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import fsum, isfinite
 
-from .errors import MissingBaseline, NonFiniteScore
+from .errors import MissingBaseline, NonFiniteScore, _shown
 from .model import (
     AssessmentConfig,
     AuthorSlot,
@@ -115,7 +115,7 @@ def researcher_fss(
     """
     if researcher.years_active < 1:
         raise ValueError(
-            f"researcher {researcher.researcher_id!r} has zero years active; "
+            f"researcher {_shown(researcher.researcher_id)} has zero years active; "
             "should have been excluded upstream"
         )
     start, end = config.period_start, config.period_end
@@ -140,7 +140,7 @@ def researcher_fss(
                 index = pub.first_slot(rid)
             except KeyError:
                 raise ValueError(
-                    f"publication {pub.publication_id!r} is not authored by {rid!r}"
+                    f"publication {_shown(pub.publication_id)} is not authored by {_shown(rid)}"
                 ) from None
             baseline = entries.get((year, pub.subject_category))
             if baseline is None:

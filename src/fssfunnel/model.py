@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 from numbers import Real
-from operator import attrgetter, index
+from operator import index
 
 from .errors import (
     DataViolation,
@@ -203,7 +203,7 @@ class CitationBaseline(_Record):
         for key, mean in entries.items():
             if not math.isfinite(mean) or mean <= 0:
                 raise ValueError(
-                    f"baseline mean for {key} must be finite and > 0, got {mean}"
+                    f"baseline mean for {_shown(key)} must be finite and > 0, got {mean}"
                 )
         _set_entries(self, entries)
 
@@ -233,7 +233,7 @@ def _as_type_of(default, value, name: str):
         return index(value)  # any integer, numpy's too; TypeError on 2008.0
     if isinstance(default, float):
         if not isinstance(value, Real):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
+            raise TypeError(f"{name} must be a real number, got {_shown(value)}")
         value = float(value)
         # NaN slips past every range check, and JSON holds neither it nor inf.
         if not math.isfinite(value):
@@ -314,10 +314,7 @@ AssessablePopulation = namedtuple(
     "AssessablePopulation", "institutions dropped_researchers dropped_institutions"
 )
 AssessablePopulation.__doc__ = """Researchers kept after the exclusion rules: institution
-id -> its members, institutions in id order and members in researcher-id order."""
-
-
-_RESEARCHER_ID = attrgetter("researcher_id")
+id -> its members, both in row order (an institution at its first kept researcher)."""
 
 
 def validate_dataset(
@@ -395,16 +392,16 @@ def validate_dataset(
     return by_researcher
 
 
-def _repeated(ids) -> list[str]:
+def _repeated(ids) -> dict[str, None]:
     """Each id that occurs more than once, in the order of its second
-    occurrence."""
+    occurrence, as the keys of a dict (so a membership test is a lookup)."""
     seen: set[str] = set()
     repeated: dict[str, None] = {}
     for item in ids:
         if item in seen:
             repeated[item] = None
         seen.add(item)
-    return list(repeated)
+    return repeated
 
 
 def _author_list_violations(
@@ -424,8 +421,8 @@ def _author_list_violations(
                 f"{_shown(pub.authors[misplaced - 1].position)}",
             )
         )
-    duplicated = set(_repeated(listed))
-    for rid in sorted(duplicated):
+    duplicated = _repeated(listed)
+    for rid in duplicated:
         errors.append(
             MalformedAuthorList(
                 pub.publication_id, f"researcher {_shown(rid)} occupies multiple author slots"
@@ -442,9 +439,9 @@ def apply_exclusions(
 ) -> AssessablePopulation:
     """Drop short-tenure researchers, then undersized institutions, in that order.
 
-    The one place researchers are grouped by institution. Institutions and
-    each one's members are in id order, whatever the row order, so a library
-    caller that walks the population sees one stable order.
+    The one place researchers are grouped by institution. Institutions come
+    in the order of their first kept researcher and members in row order;
+    only the funnel report sorts institutions.
     """
     groups: dict[str, list[ResearcherRecord]] = {}
     dropped_researchers = 0
@@ -454,9 +451,9 @@ def apply_exclusions(
         else:
             dropped_researchers += 1
     institutions = {
-        inst: tuple(sorted(groups[inst], key=_RESEARCHER_ID))
-        for inst in sorted(groups)
-        if len(groups[inst]) >= config.min_faculty
+        inst: tuple(members)
+        for inst, members in groups.items()
+        if len(members) >= config.min_faculty
     }
     if not institutions:
         raise EmptyPopulation(

@@ -18,7 +18,7 @@ from math import copysign, exp, fsum, inf, log
 from operator import mul
 from sys import float_info
 
-from .errors import DegenerateSample
+from .errors import DegenerateSample, _shown
 from .model import AssessmentConfig
 
 BRACKET_CAP = 1e6
@@ -37,12 +37,15 @@ def _mean(values) -> float:
     return fsum(values) / len(values)
 
 
-def _finite_nonnegative(values, owner: str) -> list[float]:
+def _finite_nonnegative(values, owner: str, owner_id: str | None = None) -> list[float]:
     """The one value-domain check of this package: the values as floats,
-    or ValueError naming ``owner`` and the first that is not finite and >= 0."""
+    or ValueError naming ``owner`` (followed by ``owner_id``, if given) and
+    the first that is not finite and >= 0."""
     values = [float(v) for v in values]
     for v in values:
         if not 0.0 <= v < inf:  # NaN fails too
+            if owner_id is not None:
+                owner = f"{owner} {_shown(owner_id)}"
             raise ValueError(f"{owner} has value {v}, not finite and >= 0")
     return values
 

@@ -1,7 +1,10 @@
 """Construction shortcuts and reference parsers shared by the test modules."""
 
+import ast
 import re
+from pathlib import Path
 
+import fssfunnel
 from fssfunnel.funnel import build_funnel_report
 from fssfunnel.model import (
     AssessmentConfig,
@@ -11,6 +14,10 @@ from fssfunnel.model import (
     Rank,
     ResearcherRecord,
 )
+
+# The package's source files, for the tests that scan it.
+PACKAGE = Path(fssfunnel.__file__).parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def byline(*institutions, researcher_ids=None):
@@ -71,3 +78,25 @@ SLOT_DEFECTS = {
     "four fields": lambda pos, rid, inst: f"{pos}:{rid}:{inst}:X",
     "empty part": lambda pos, rid, inst: "",
 }
+
+
+def sites(module: str, source: str, wanted) -> list[tuple[str, str | None, str | None]]:
+    """A site for each node that ``wanted`` accepts, in source order: its
+    enclosing function and the target of the assignment it is part of."""
+    found = []
+
+    def visit(node, function, target):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            target = names[0] if names else None
+        elif isinstance(node, ast.AugAssign):
+            target = ast.unparse(node.target)
+        if wanted(node):
+            found.append((module, function, target))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, target)
+
+    visit(ast.parse(source), None, None)
+    return found

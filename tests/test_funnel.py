@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from fssfunnel import funnel
+from fssfunnel import funnel, transform
 from fssfunnel.errors import DegenerateSample
 from fssfunnel.funnel import (
     Classification,
@@ -329,6 +329,57 @@ def test_report_orders_institutions_and_is_deterministic():
     assert ids == sorted(ids)
     again = build_funnel_report(data, CONFIG)
     assert again == report
+
+
+def _leaves(value):
+    """Every leaf of a report, in order, with each float as its ``float.hex``."""
+    if isinstance(value, float):
+        return [value.hex()]
+    if isinstance(value, dict):
+        return [leaf for item in value.items() for leaf in _leaves(item)]
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+@pytest.mark.parametrize("grand_mean_mode", list(GrandMeanMode))
+@pytest.mark.parametrize("skewness_target", list(SkewnessTarget))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_report_does_not_depend_on_the_order_of_institutions_or_values(
+    skewness_target, grand_mean_mode, seed
+):
+    # apply_exclusions hands over institutions and members in row order, and
+    # the report is the one place that orders them: any order of either gives
+    # the same report, down to every float's bits.
+    rng = np.random.default_rng(seed)
+    data = {}
+    for j in range(12):
+        values = rng.lognormal(-1.5, 0.9, size=rng.integers(2, 30))
+        values = np.where(rng.random(len(values)) < 0.2, 0.0, values)
+        data[f"u{j:02d}"] = [float(v) for v in values]
+    config = AssessmentConfig(
+        min_faculty=1, skewness_target=skewness_target, grand_mean_mode=grand_mean_mode
+    )
+    expected = _leaves(build_funnel_report(data, config))
+    for _ in range(3):
+        institutions = list(data)
+        rng.shuffle(institutions)
+        permuted = {
+            inst: [data[inst][i] for i in rng.permutation(len(data[inst]))]
+            for inst in institutions
+        }
+        assert _leaves(build_funnel_report(permuted, config)) == expected
+
+
+def test_report_formats_no_owner_text_for_valid_values(monkeypatch):
+    # An institution's name is put into a message only when its check fails.
+    shown = []
+    monkeypatch.setattr(transform, "_shown", lambda value: shown.append(value) or repr(value))
+    build_funnel_report({"a": [0.1, 0.4, 0.9], "b": [0.2, 0.3], "c": [0.5, 0.7]}, CONFIG)
+    assert shown == []
+    with pytest.raises(ValueError, match="institution 'b' has value nan"):
+        build_funnel_report({"a": [0.1, 0.4, 0.9], "b": [0.2, math.nan]}, CONFIG)
+    assert shown == ["b"]
 
 
 def test_report_exposes_both_scales_and_consistent_summaries(monkeypatch):

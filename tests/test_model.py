@@ -1,5 +1,7 @@
 import inspect
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from fssfunnel.errors import (
     UnknownResearcherRef,
     ValidationErrors,
     YearsOutOfRange,
+    _shown,
 )
+from fssfunnel.funnel import build_funnel_report, fit_pooled
 from fssfunnel.indicator import researcher_fss
 from fssfunnel.model import (
     DEFAULT_SALARY_COEFFICIENTS,
@@ -151,17 +155,78 @@ def test_validate_collects_all_violations():
 
 
 def test_long_byline_violations_keep_their_order():
-    # Sorted duplicates first, then unknown ids in byline order.
+    # Duplicates first, in the order of their second occurrence, then
+    # unknown ids in byline order.
     ids = [f"r{i:04d}" for i in range(1997)] + ["r0100", "ghost", "r0005"]
     authors = byline(*["u01"] * len(ids), researcher_ids=ids)
     recs = [researcher(rid) for rid in ids[:1997]]
     with pytest.raises(ValidationErrors) as exc:
         validate_dataset(recs, [publication("p1", 1, authors)], baseline(), CONFIG)
     assert [(type(v), str(v)) for v in exc.value.errors] == [
-        (MalformedAuthorList, "publication 'p1': researcher 'r0005' occupies multiple author slots"),
         (MalformedAuthorList, "publication 'p1': researcher 'r0100' occupies multiple author slots"),
+        (MalformedAuthorList, "publication 'p1': researcher 'r0005' occupies multiple author slots"),
         (UnknownResearcherRef, "publication 'p1' references unknown researcher 'ghost'"),
     ]
+
+
+@pytest.mark.parametrize("k", [4300, 4301, 5000, 12345])
+def test_an_int_too_long_for_repr_is_shown_by_its_digits(k):
+    # Past sys.get_int_max_str_digits() (4,300 by default) repr() of an int
+    # raises ValueError; a message shows the int's exact number of digits.
+    assert sys.get_int_max_str_digits() == 4300
+    assert _shown(10**k) == f"<int of {k + 1} digits>"
+    assert _shown(-(10**k)) == f"<int of {k + 1} digits>"
+    assert _shown(10**(k + 1) - 1) == f"<int of {k + 1} digits>"
+
+
+def test_validation_collects_an_int_too_long_for_repr():
+    huge = 10**5000
+    with pytest.raises(ValidationErrors) as exc:
+        validate_dataset(
+            [ResearcherRecord("r1", "u", "f", "Full", huge)], [], CitationBaseline({}), CONFIG
+        )
+    assert [str(v) for v in exc.value.errors] == [
+        "researcher 'r1': years_active <int of 5001 digits> exceeds the 5-year observation period",
+    ]
+    misplaced = publication("p1", 1, (AuthorSlot(huge, "r1", "u01"),))
+    with pytest.raises(ValidationErrors) as exc:
+        validate_dataset([researcher("r1")], [misplaced], baseline(), CONFIG)
+    assert [str(v) for v in exc.value.errors] == [
+        "publication 'p1': author positions must run 1..1 in byline order; slot 0 has "
+        "position <int of 5001 digits>",
+    ]
+
+
+LONG_ID = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fit_pooled([("a", [1.0, 2.0]), (LONG_ID, [])]),
+        lambda: build_funnel_report({"a": [1.0, 2.0], LONG_ID: []}, CONFIG),
+        lambda: build_funnel_report({"a": [1.0, 2.0], LONG_ID: [math.nan]}, CONFIG),
+        lambda: researcher_fss(researcher(LONG_ID, years=0), [], baseline(), CONFIG),
+        lambda: researcher_fss(
+            researcher(LONG_ID), [publication(LONG_ID, 1, byline("u01"))], baseline(), CONFIG
+        ),
+        lambda: AssessmentConfig(skewness_tolerance=LONG_ID),
+        lambda: CitationBaseline({(2008, LONG_ID): 0.0}),
+    ],
+    ids=[
+        "empty-group", "no-values", "not-finite", "zero-years", "not-an-author",
+        "not-a-real-number", "baseline-mean",
+    ],
+)
+def test_a_library_error_shows_a_long_id_cut(call):
+    # Each message names the id through errors._shown: cut after 100
+    # characters, with the full length (of the key, for a baseline), so the
+    # line stays short.
+    with pytest.raises((ValueError, TypeError)) as exc:
+        call()
+    message = str(exc.value)
+    assert re.search(r"\.\.\. \(1000\d\d characters\)", message)
+    assert len(message) < 400
 
 
 def test_validate_years_active_beyond_period():
@@ -231,17 +296,18 @@ def test_exclusions_idempotent():
     assert second.institutions == first.institutions
 
 
-def test_exclusions_group_each_institution_in_id_order():
+def test_exclusions_group_each_institution_in_row_order():
     recs = [researcher(rid, inst=inst, years=5) for rid, inst in [
         ("r9", "u02"), ("r3", "u01"), ("r7", "u02"), ("r1", "u01"), ("r5", "u03"),
     ]]
     population = _population_of(recs, AssessmentConfig(min_faculty=2))
     assert {inst: [r.researcher_id for r in members]
             for inst, members in population.institutions.items()} == {
-        "u01": ["r1", "r3"], "u02": ["r7", "r9"],
+        "u02": ["r9", "r7"], "u01": ["r3", "r1"],
     }
-    assert list(population.institutions) == ["u01", "u02"]
-    assert [r.researcher_id for r in _kept(population)] == ["r1", "r3", "r7", "r9"]
+    # An institution comes at its first kept researcher, a member at its row.
+    assert list(population.institutions) == ["u02", "u01"]
+    assert [r.researcher_id for r in _kept(population)] == ["r9", "r7", "r3", "r1"]
     assert (population.dropped_researchers, population.dropped_institutions) == (0, 1)
 
 
@@ -508,7 +574,7 @@ def reference_validation(researchers, publications, baselines, config):
                     f"author positions must run 1..{len(slots)} in byline order; "
                     f"slot {wrong[0]} has position {slots[wrong[0]].position}",
                 ))
-            twice = sorted({rid for rid in ids if ids.count(rid) > 1})
+            twice = list(repeats(ids))
             errors += [
                 MalformedAuthorList(pid, f"researcher {rid!r} occupies multiple author slots")
                 for rid in twice
@@ -528,10 +594,7 @@ def reference_validation(researchers, publications, baselines, config):
         for slot in pub.authors:
             if slot.researcher_id is not None:
                 index.setdefault(slot.researcher_id, []).append(pub)
-    return [
-        (rid, [p.publication_id for p in sorted(pubs, key=lambda p: p.publication_id)])
-        for rid, pubs in index.items()
-    ]
+    return [(rid, [p.publication_id for p in pubs]) for rid, pubs in index.items()]
 
 
 DEFECTS = (
@@ -563,8 +626,9 @@ def defective_datasets(draw):
         listed = draw(st.permutations(listed))
         if "unknown id" in defects and draw(st.booleans()):
             listed[draw(st.integers(0, len(listed) - 1))] = "zz"
-        if "researcher twice on a byline" in defects and draw(st.booleans()):
-            listed.insert(draw(st.integers(0, len(listed))), draw(st.sampled_from(ids)))
+        if "researcher twice on a byline" in defects:
+            for _ in range(draw(st.integers(0, 2))):
+                listed.insert(draw(st.integers(0, len(listed))), draw(st.sampled_from(ids)))
         if "empty byline" in defects and draw(st.booleans()):
             listed = []
         positions = list(range(1, len(listed) + 1))

@@ -7,12 +7,8 @@ it is kept at the listed sites, which count, concatenate or step a solver or a
 tick, not accumulate data."""
 
 import ast
-from pathlib import Path
 
-import fssfunnel
-
-PACKAGE = Path(fssfunnel.__file__).parent
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+from helpers import MODULES, PACKAGE, sites
 
 # (module, enclosing function, the name the result is assigned to).
 INTEGER_SUMS = [
@@ -49,36 +45,14 @@ AUGMENTED_ADDITIONS = [
 ]
 
 
-def _sites(module: str, source: str, wanted) -> list[tuple[str, str | None, str | None]]:
-    """A site for each node that ``wanted`` accepts, in source order: its
-    enclosing function and the target of the assignment it is part of."""
-    sites = []
-
-    def visit(node, function, target):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            target = names[0] if names else None
-        elif isinstance(node, ast.AugAssign):
-            target = ast.unparse(node.target)
-        if wanted(node):
-            sites.append((module, function, target))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function, target)
-
-    visit(ast.parse(source), None, None)
-    return sites
-
-
 def builtin_sums(module: str, source: str) -> list[tuple[str, str | None, str | None]]:
     """A site for each reference to the name ``sum``, in source order."""
-    return _sites(module, source, lambda node: isinstance(node, ast.Name) and node.id == "sum")
+    return sites(module, source, lambda node: isinstance(node, ast.Name) and node.id == "sum")
 
 
 def augmented_additions(module: str, source: str) -> list[tuple[str, str | None, str | None]]:
     """A site for each ``+=``, in source order."""
-    return _sites(
+    return sites(
         module, source,
         lambda node: isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add),
     )
