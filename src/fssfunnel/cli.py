@@ -184,23 +184,6 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
     return records
 
 
-def _slot_fields(path: str, line: int, part: str) -> tuple[int, str, str]:
-    """A slot text's position and stripped ids by the full rules."""
-    fields = part.split(":")
-    if len(fields) != 3:
-        raise ParseError(
-            path, line, "authors",
-            f"slot {_shown(part)} is not position:researcher_id:institution_id",
-        )
-    pos_text, rid, inst = fields
-    position = _parse_int(path, line, "authors", pos_text.strip(), 1)
-    rid, inst = rid.strip(), inst.strip()
-    if not rid or not inst:
-        missing = "institution" if rid else "researcher id"
-        raise ParseError(path, line, "authors", f"slot {_shown(part)} has no {missing}")
-    return position, rid, inst
-
-
 _POSITION = attrgetter("position")
 
 
@@ -213,12 +196,12 @@ def read_publications_csv(
     distinct one is parsed once per call and its frozen slot shared. A
     researcher's slot text seldom recurs (on the benchmark's ``bulk`` input,
     seed 3, 21,078 of 24,757 are distinct, where 93,455 external slots hold
-    4,372 texts), so it is parsed, inline, where it occurs and never memoized. Each
-    distinct year text is converted, and each category and id held, once
-    per call. The ids of ``researchers`` seed that sharing, so a slot naming
-    one of them holds the record's own id strings, not an equal copy; any
-    other id is read as without them. Only clean values are memoized, so a
-    bad text fails at its line."""
+    4,372 texts), so it is split where it occurs and never memoized. Each
+    distinct year and position text is converted, and each category and id
+    held, once per call. The ids of ``researchers`` seed that sharing, so a
+    slot naming one of them holds the record's own id strings, not an equal
+    copy; any other id is read as without them. Only clean values are
+    memoized, so a bad text fails at its line."""
     records = []
     external: dict[str, AuthorSlot] = {}
     shared: dict[str, str] = {}
@@ -227,6 +210,7 @@ def read_publications_csv(
         shared[rid] = rid
         shared[inst] = inst
     years: dict[str, int] = {}
+    positions: dict[str, int] = {}
     for line, row in _read_rows(path, PUBLICATION_HEADER):
         pid, year_text, category, citations_text, authors_cell = row
         # Stripped as researcher ids are, so a padded copy is still a duplicate
@@ -237,24 +221,27 @@ def read_publications_csv(
         year = years.get(year_text)
         if year is None:
             year = years[year_text] = _parse_int(path, line, "year", year_text, 0)
-        # A short run of ASCII digits reads alike here and in _parse_int, which
-        # takes any other text, a run too long for int() included.
-        if citations_text.isdigit() and citations_text.isascii() and len(citations_text) < 20:
-            citations = int(citations_text)
-        else:
-            citations = _parse_int(path, line, "citations", citations_text, 0)
+        citations = _parse_int(path, line, "citations", citations_text, 0)
         authors = []
         for part in authors_cell.split(";"):
             slot = external.get(part)
             if slot is None:
                 fields = part.split(":")
-                if len(fields) == 3 and fields[0].isdigit() and fields[0].isascii():
-                    position, rid, inst = int(fields[0]), fields[1].strip(), fields[2].strip()
-                else:
-                    position = 0
-                # Any other form, a zero position or a blank id: the full rules.
-                if not (position and rid and inst):
-                    position, rid, inst = _slot_fields(path, line, part)
+                if len(fields) != 3:
+                    raise ParseError(
+                        path, line, "authors",
+                        f"slot {_shown(part)} is not position:researcher_id:institution_id",
+                    )
+                pos_text, rid, inst = fields
+                position = positions.get(pos_text)
+                if position is None:
+                    position = positions[pos_text] = _parse_int(
+                        path, line, "authors", pos_text.strip(), 1
+                    )
+                rid, inst = rid.strip(), inst.strip()
+                if not rid or not inst:
+                    missing = "institution" if rid else "researcher id"
+                    raise ParseError(path, line, "authors", f"slot {_shown(part)} has no {missing}")
                 slot = AuthorSlot(
                     position,
                     None if rid == "-" else shared.setdefault(rid, rid),

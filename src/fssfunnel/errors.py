@@ -20,7 +20,10 @@ def _shown(value) -> str:
     or, if that is longer than ``_SHOWN`` characters, the repr's first
     ``_SHOWN`` characters and the full length of the text. An int too long
     for ``repr`` (past ``sys.get_int_max_str_digits()``) is shown by its
-    number of digits."""
+    number of digits. A tuple, such as a baseline's (year, category) key, is
+    shown part by part, each part by these rules."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_shown, value))})"
     try:
         shown = repr(value)
     except ValueError:

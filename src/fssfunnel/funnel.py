@@ -99,7 +99,7 @@ def fit_pooled(
 def confidence_bands(fit: PooledFit, n: int, level_z: float) -> BandPoint:
     """Band limits at size n: grand mean -/+ z * s / sqrt(n)."""
     if n < 1:
-        raise ValueError(f"band size must be >= 1, got {n}")
+        raise ValueError(f"band size must be >= 1, got {_shown(n)}")
     half_width = level_z * fit.pooled_sd / sqrt(n)
     return BandPoint(n, level_z, fit.grand_mean - half_width, fit.grand_mean + half_width)
 

@@ -110,7 +110,7 @@ class ResearcherRecord(_Record):
         self, researcher_id: str, institution_id: str, field_code: str, rank: Rank, years_active: int
     ):
         if years_active < 0:
-            raise ValueError(f"years_active must be >= 0, got {years_active}")
+            raise ValueError(f"years_active must be >= 0, got {_shown(years_active)}")
         if not researcher_id.strip() or not institution_id.strip():
             raise ValueError("researcher_id and institution_id must not be blank")
         _set_rid(self, researcher_id)
@@ -131,7 +131,7 @@ class AuthorSlot(_Record):
 
     def __init__(self, position: int, researcher_id: str | None, institution_id: str):
         if position < 1:
-            raise ValueError(f"position must be >= 1, got {position}")
+            raise ValueError(f"position must be >= 1, got {_shown(position)}")
         if researcher_id is not None and not researcher_id.strip():
             raise ValueError("researcher_id must be None or not blank")
         if not institution_id.strip():
@@ -156,9 +156,9 @@ class PublicationRecord(_Record):
         authors: tuple[AuthorSlot, ...],
     ):
         if citations < 0:
-            raise ValueError(f"citations must be >= 0, got {citations}")
+            raise ValueError(f"citations must be >= 0, got {_shown(citations)}")
         if year < 0:
-            raise ValueError(f"year must be >= 0, got {year}")
+            raise ValueError(f"year must be >= 0, got {_shown(year)}")
         if not publication_id.strip():
             raise ValueError("publication_id must not be blank")
         _set_pid(self, publication_id)

@@ -68,7 +68,7 @@ def sample_skewness(values) -> float:
 def log_shift_transform(values, delta: float) -> list[float]:
     """Elementwise ln(value + delta); strictly monotone, defined at zero."""
     if delta <= 0:
-        raise ValueError(f"log shift requires delta > 0, got {delta}")
+        raise ValueError(f"log shift requires delta > 0, got {_shown(delta)}")
     values = _finite_nonnegative(values, "log shift")
     return [log(v + delta) for v in values]
 

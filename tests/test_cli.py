@@ -573,8 +573,8 @@ def test_a_header_that_differs_is_named_by_its_first_differing_column(tmp_path, 
 # float's range, int()'s digit limit, a byte that is not UTF-8, line ends,
 # quoting and the byline's separators.
 MUTATION_TOKENS = [
-    b"1e308", b"1" + b"0" * 400, b"nan", b"-0", b"\xff", b"\r", b"\n", b'"', b",", b";",
-    b":", b"-", b"\x00", b"",
+    b"1e308", b"1" + b"0" * 400, b"1" * 4301, b"nan", b"-0", b"\xff", b"\r", b"\n", b'"',
+    b",", b";", b":", b"-", b"\x00", b"",
 ]
 # The longest stderr line that a run may print beyond its file's path: two
 # input texts each shown cut to errors._SHOWN characters, and fixed words.
@@ -1387,6 +1387,12 @@ VALID_BYLINE = "1:a1:A;2:a2:A;3:-:X"
         ("1:a1:A;2:a2: ", "slot '2:a2: ' has no institution"),
         ("1:a1:A;2::A", "slot '2::A' has no researcher id"),
         ("1: :A;2:a2:A", "slot '1: :A' has no researcher id"),
+        # Past int()'s 4,300-digit limit, read by the rule of every number cell.
+        pytest.param(
+            "1:a1:A;" + "1" * 5000 + ":a2:A",
+            "not an integer: '" + "1" * 99 + "... (5000 characters)",
+            id="position-past-the-digit-limit",
+        ),
     ],
 )
 def test_byline_parse_errors_name_line_and_slot(tmp_path, cell, reason):

@@ -18,7 +18,7 @@ from fssfunnel.errors import (
     YearsOutOfRange,
     _shown,
 )
-from fssfunnel.funnel import build_funnel_report, fit_pooled
+from fssfunnel.funnel import build_funnel_report, confidence_bands, fit_pooled
 from fssfunnel.indicator import researcher_fss
 from fssfunnel.model import (
     DEFAULT_SALARY_COEFFICIENTS,
@@ -31,6 +31,7 @@ from fssfunnel.model import (
     apply_exclusions,
     validate_dataset,
 )
+from fssfunnel.transform import log_shift_transform
 from helpers import baseline, byline, make_report, publication, researcher
 
 CONFIG = AssessmentConfig()
@@ -195,6 +196,67 @@ def test_validation_collects_an_int_too_long_for_repr():
         "publication 'p1': author positions must run 1..1 in byline order; slot 0 has "
         "position <int of 5001 digits>",
     ]
+
+
+HUGE = -(10**5000)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AuthorSlot(HUGE, "r1", "u01"), "position must be >= 1, got {}"),
+        (lambda: researcher("r1", years=HUGE), "years_active must be >= 0, got {}"),
+        (lambda: PublicationRecord("p1", HUGE, "c", 1, ()), "year must be >= 0, got {}"),
+        (lambda: PublicationRecord("p1", 2008, "c", HUGE, ()), "citations must be >= 0, got {}"),
+        (lambda: confidence_bands(None, HUGE, 1.96), "band size must be >= 1, got {}"),
+        (lambda: log_shift_transform([1.0], HUGE), "log shift requires delta > 0, got {}"),
+        (
+            lambda: CitationBaseline({(-HUGE, "c"): 0.0}),
+            "baseline mean for ({}, 'c') must be finite and > 0, got 0.0",
+        ),
+    ],
+    ids=["position", "years-active", "year", "citations", "band-size", "delta", "baseline-key"],
+)
+def test_a_library_error_shows_a_huge_int_by_its_digits(call, message):
+    # str() of an int past 4,300 digits raises its own ValueError, which would
+    # take the place of the message; a tuple key is shown part by part.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message.format("<int of 5001 digits>")
+
+
+class CountedId(str):
+    """A researcher id that counts the hashes and comparisons made of it."""
+
+    operations = 0
+
+    def __hash__(self):
+        CountedId.operations += 1
+        return str.__hash__(self)
+
+    def __eq__(self, other):
+        CountedId.operations += 1
+        return str.__eq__(self, other)
+
+
+def byline_operations(n):
+    """The hashes and comparisons of ids taken to validate one byline of
+    ``n`` assessed authors and to score each of them."""
+    ids = [CountedId(f"r{i:05d}") for i in range(n)]
+    records = [researcher(rid) for rid in ids]
+    pub = publication("p1", 10, byline(*["u01"] * n, researcher_ids=ids))
+    baselines = baseline()
+    CountedId.operations = 0
+    index = validate_dataset(records, [pub], baselines, CONFIG)
+    for record in records:
+        researcher_fss(record, index[record.researcher_id], baselines, CONFIG)
+    return CountedId.operations
+
+
+def test_one_long_byline_takes_id_operations_linear_in_its_length():
+    # Counted, not timed, so no host noise: a scan of the byline per author
+    # would take 16 times the operations at 4 times the authors.
+    assert byline_operations(2000) <= 5 * byline_operations(500)
 
 
 LONG_ID = "x" * 100_000
