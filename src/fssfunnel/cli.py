@@ -783,9 +783,6 @@ def main(argv=None) -> int:
     except (IoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ModuleNotFoundError as exc:  # numpy, an optional dependency
-        print(f"error: synth needs {exc.name}: pip install 'fssfunnel[synth]'", file=sys.stderr)
-        return 2
     if not args.quiet:
         for name, path in paths.items():
             print(f"wrote {name}: {path}")

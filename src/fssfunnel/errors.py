@@ -20,8 +20,9 @@ def _shown(value) -> str:
     or, if that is longer than ``_SHOWN`` characters, the repr's first
     ``_SHOWN`` characters and the full length of the text. An int too long
     for ``repr`` (past ``sys.get_int_max_str_digits()``) is shown by its
-    number of digits. A tuple, such as a baseline's (year, category) key, is
-    shown part by part, each part by these rules."""
+    sign, if negative, and its number of digits. A tuple, such as a
+    baseline's (year, category) key, is shown part by part, each part by
+    these rules."""
     if type(value) is tuple:
         return f"({', '.join(map(_shown, value))})"
     try:
@@ -32,7 +33,8 @@ def _shown(value) -> str:
         # 2**(b-1) <= |value| < 2**b, so it has d or d + 1 digits, d as below.
         magnitude = abs(value)
         digits = int((magnitude.bit_length() - 1) * log10(2)) + 1
-        return f"<int of {digits + (magnitude >= 10**digits)} digits>"
+        sign = "-" if value < 0 else ""
+        return f"{sign}<int of {digits + (magnitude >= 10**digits)} digits>"
     if len(shown) <= _SHOWN:
         return shown
     length = len(value) if isinstance(value, str) else len(shown)

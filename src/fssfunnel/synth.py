@@ -1,8 +1,8 @@
 """Synthetic CSV fixtures for the ``synth`` command.
 
-Only ``synth`` draws random numbers, so only this module imports numpy, and
-``cli.main`` imports this module only for ``synth``: an ``assess`` run never
-compiles or loads it.
+Every draw comes from one ``random.Random(seed)``, so one seed always gives
+the same bytes. ``cli.main`` imports this module only for ``synth``: an
+``assess`` run never compiles or loads it.
 """
 
 from __future__ import annotations
@@ -10,16 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .cli import BASELINE_HEADER, PUBLICATION_HEADER, RESEARCHER_HEADER, _write_all
 from .errors import IoError
 from .indicator import fractional_weights
 from .model import AssessmentConfig, AuthorSlot, Rank
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def solve_shifted_lognormal(mean: float, sd: float, skewness: float):
@@ -50,33 +47,29 @@ def solve_shifted_lognormal(mean: float, sd: float, skewness: float):
 
 
 def draw_fss_sample(
-    rng: np.random.Generator, count: int, mean: float, sd: float, skewness: float
-) -> np.ndarray:
+    rng: random.Random, count: int, mean: float, sd: float, skewness: float
+) -> list[float]:
     """Shifted-lognormal draws clipped at zero (mirrors nil-productivity cases)."""
-    import numpy as np
-
     theta, mu, sigma = solve_shifted_lognormal(mean, sd, skewness)
-    values = theta + np.exp(rng.normal(mu, sigma, size=count))
-    return np.clip(values, 0.0, None)
+    return [max(theta + math.exp(rng.gauss(mu, sigma)), 0.0) for _ in range(count)]
 
 
 def _institution_sizes(
-    rng: np.random.Generator, count: int, size_min: int, size_max: int, total: int
+    rng: random.Random, count: int, size_min: int, size_max: int, total: int
 ) -> list[int]:
-    import numpy as np
-
     total = min(max(total, count * size_min), count * size_max)
-    raw = np.exp(rng.normal(0.0, 0.55, size=count))
-    sizes = np.clip(
-        np.round(raw * total / raw.sum()).astype(int), size_min, size_max
-    )
-    while sizes.sum() != total:
-        index = int(rng.integers(count))
-        if sizes.sum() < total and sizes[index] < size_max:
-            sizes[index] += 1
-        elif sizes.sum() > total and sizes[index] > size_min:
-            sizes[index] -= 1
-    return [int(s) for s in sizes]
+    raw = [math.exp(rng.gauss(0.0, 0.55)) for _ in range(count)]
+    scale = total / math.fsum(raw)
+    sizes = [min(max(round(r * scale), size_min), size_max) for r in raw]
+    # Step random sizes, within their bounds, until they add up to the total.
+    missing = total - sum(sizes)
+    while missing:
+        index = rng.randrange(count)
+        step = 1 if missing > 0 else -1
+        if size_min <= sizes[index] + step <= size_max:
+            sizes[index] += step
+            missing -= step
+    return sizes
 
 
 _RANKS = (Rank.ASSISTANT, Rank.ASSOCIATE, Rank.FULL)
@@ -108,10 +101,8 @@ def generate_synthetic_dataset(
         raise ValueError("institutions must be >= 1")
     if not (1 <= size_min <= size_max):
         raise ValueError("need 1 <= size_min <= size_max")
-    import numpy as np
-
     config = AssessmentConfig()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -119,7 +110,7 @@ def generate_synthetic_dataset(
         raise IoError(out_dir, exc.strerror or str(exc)) from exc
 
     years = list(range(config.period_start, config.period_end + 1))
-    baselines = {year: round(float(rng.uniform(8.0, 25.0)), 2) for year in years}
+    baselines = {year: round(rng.uniform(8.0, 25.0), 2) for year in years}
     category = "Biochemistry"
 
     sizes = _institution_sizes(rng, institutions, size_min, size_max, total_researchers)
@@ -132,19 +123,19 @@ def generate_synthetic_dataset(
     for j, size in enumerate(sizes, start=1):
         inst = f"u{j:02d}"
         effect = (
-            math.exp(rng.normal(0.0, institution_effect_sd))
+            math.exp(rng.gauss(0.0, institution_effect_sd))
             if institution_effect_sd > 0
             else 1.0
         )
         for _ in range(size):
             index += 1
             rid = f"r{index:04d}"
-            rank = _RANKS[rng.choice(len(_RANKS), p=_RANK_PROBS)]
+            rank = rng.choices(_RANKS, _RANK_PROBS)[0]
             salary = config.salary_coefficients[rank]
-            tenure = int(rng.integers(config.min_years_active, config.period_length + 1))
+            tenure = rng.randint(config.min_years_active, config.period_length)
             researcher_rows.append([rid, inst, category, rank.value, str(tenure)])
 
-            target = float(targets[index - 1]) * effect
+            target = targets[index - 1] * effect
             pub_serial = _append_publications(
                 publication_rows, rng, rid, inst, target, salary, tenure,
                 years, baselines, category, pub_serial,
@@ -186,20 +177,18 @@ def _append_publications(
         serial += 1
         byline, _ = _random_byline(rng, rid, inst)
         rows.append(
-            [f"p{serial:05d}", str(int(rng.choice(years))), category, "0",
+            [f"p{serial:05d}", str(rng.choice(years)), category, "0",
              _format_byline(byline)]
         )
         return serial
 
-    pub_count = int(rng.integers(1, 4))
-    shares = rng.random(pub_count)
-    shares = shares / shares.sum()
-    budget = target * salary * tenure
+    shares = [rng.random() for _ in range(rng.randint(1, 3))]
+    budget = target * salary * tenure / math.fsum(shares)
     for share in shares:
         serial += 1
         byline, index = _random_byline(rng, rid, inst)
         weight = fractional_weights(byline)[index]
-        year = int(rng.choice(years))
+        year = rng.choice(years)
         citations = max(0, round(share * budget * baselines[year] / weight))
         rows.append(
             [f"p{serial:05d}", str(year), category, str(citations),
@@ -210,14 +199,14 @@ def _append_publications(
 
 def _random_byline(rng, rid, inst) -> tuple[tuple[AuthorSlot, ...], int]:
     """A byline among unassessed co-authors, and the index of ``rid``'s slot."""
-    count = int(rng.integers(1, 9))
-    position = int(rng.integers(count))
+    count = rng.randint(1, 8)
+    position = rng.randrange(count)
     slots = []
     for i in range(count):
         if i == position:
             slots.append(AuthorSlot(i + 1, rid, inst))
         else:
-            slots.append(AuthorSlot(i + 1, None, f"ext{int(rng.integers(1, 30)):02d}"))
+            slots.append(AuthorSlot(i + 1, None, f"ext{rng.randint(1, 29):02d}"))
     # Force some intra-mural bylines so both weighting rules are exercised.
     if count >= 2 and rng.random() < 0.3:
         first, last = slots[0], slots[-1]

@@ -1,7 +1,10 @@
-"""Every name a package module imports is used in that module. No linter
-ships with the package's tooling, so this stands in for an unused-import rule."""
+"""Every name a package module imports is used in that module, and every
+module it imports is in the standard library. No linter ships with the
+package's tooling, so this stands in for an unused-import rule and for a
+dependency check."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,9 +50,48 @@ def test_an_unused_import_is_reported():
     assert unused_imports(source) == ["line 3: j", "line 4: inf", "line 6: Rank"]
 
 
-def test_only_a_type_checking_guard_imports_typing():
+def outside_the_standard_library(source: str) -> list[str]:
+    """``line N: module`` for each absolute import, at module level or inside
+    a function, of a module that is not in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}" for name in names
+            if name.partition(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_import_is_in_the_standard_library(module):
+    # The package declares no dependencies: assess, synth and the library
+    # run on a bare interpreter.
+    assert outside_the_standard_library((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_an_import_outside_the_standard_library_is_reported():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from _statistics import _normal_dist_inv_cdf\n"
+        "from .model import Rank\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    from scipy.stats import norm\n"
+        "    return np, norm, Rank\n"
+    )
+    assert outside_the_standard_library(source) == ["line 6: numpy", "line 7: scipy.stats"]
+
+
+def test_no_module_imports_typing():
     # Annotations take Callable from collections.abc, so no module needs
-    # typing at run time; synth imports it only for its TYPE_CHECKING guard.
+    # typing at run time.
     found = []
     for module in MODULES:
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
@@ -58,4 +100,4 @@ def test_only_a_type_checking_guard_imports_typing():
                 found += [(module, alias.name) for alias in node.names]
             elif isinstance(node, ast.Import):
                 found += [(module, "") for alias in node.names if alias.name == "typing"]
-    assert found == [("synth.py", "TYPE_CHECKING")]
+    assert found == []

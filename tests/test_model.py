@@ -173,10 +173,11 @@ def test_long_byline_violations_keep_their_order():
 @pytest.mark.parametrize("k", [4300, 4301, 5000, 12345])
 def test_an_int_too_long_for_repr_is_shown_by_its_digits(k):
     # Past sys.get_int_max_str_digits() (4,300 by default) repr() of an int
-    # raises ValueError; a message shows the int's exact number of digits.
+    # raises ValueError; a message shows the int's sign and exact number of
+    # digits.
     assert sys.get_int_max_str_digits() == 4300
     assert _shown(10**k) == f"<int of {k + 1} digits>"
-    assert _shown(-(10**k)) == f"<int of {k + 1} digits>"
+    assert _shown(-(10**k)) == f"-<int of {k + 1} digits>"
     assert _shown(10**(k + 1) - 1) == f"<int of {k + 1} digits>"
 
 
@@ -204,12 +205,12 @@ HUGE = -(10**5000)
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: AuthorSlot(HUGE, "r1", "u01"), "position must be >= 1, got {}"),
-        (lambda: researcher("r1", years=HUGE), "years_active must be >= 0, got {}"),
-        (lambda: PublicationRecord("p1", HUGE, "c", 1, ()), "year must be >= 0, got {}"),
-        (lambda: PublicationRecord("p1", 2008, "c", HUGE, ()), "citations must be >= 0, got {}"),
-        (lambda: confidence_bands(None, HUGE, 1.96), "band size must be >= 1, got {}"),
-        (lambda: log_shift_transform([1.0], HUGE), "log shift requires delta > 0, got {}"),
+        (lambda: AuthorSlot(HUGE, "r1", "u01"), "position must be >= 1, got -{}"),
+        (lambda: researcher("r1", years=HUGE), "years_active must be >= 0, got -{}"),
+        (lambda: PublicationRecord("p1", HUGE, "c", 1, ()), "year must be >= 0, got -{}"),
+        (lambda: PublicationRecord("p1", 2008, "c", HUGE, ()), "citations must be >= 0, got -{}"),
+        (lambda: confidence_bands(None, HUGE, 1.96), "band size must be >= 1, got -{}"),
+        (lambda: log_shift_transform([1.0], HUGE), "log shift requires delta > 0, got -{}"),
         (
             lambda: CitationBaseline({(-HUGE, "c"): 0.0}),
             "baseline mean for ({}, 'c') must be finite and > 0, got 0.0",
@@ -219,7 +220,8 @@ HUGE = -(10**5000)
 )
 def test_a_library_error_shows_a_huge_int_by_its_digits(call, message):
     # str() of an int past 4,300 digits raises its own ValueError, which would
-    # take the place of the message; a tuple key is shown part by part.
+    # take the place of the message; a negative int keeps its sign and a
+    # tuple key is shown part by part.
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message.format("<int of 5001 digits>")

@@ -14,6 +14,7 @@ from helpers import MODULES, PACKAGE, sites
 INTEGER_SUMS = [
     ("cli.py", "run_assessment", "flagged"),
     ("funnel.py", "fit_pooled", "total_n"),
+    ("synth.py", "_institution_sizes", "missing"),
     ("synth.py", "generate_synthetic_dataset", "targets"),
 ]
 
