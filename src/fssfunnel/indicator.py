@@ -75,25 +75,17 @@ def _weights_for(count: int, intramural: bool, uniform: bool) -> tuple[float, ..
 
 
 def _positional_weights(count: int, intramural: bool) -> list[float]:
-    indices = set(range(count))
-    end_idx = {0, count - 1} & indices
+    # A slot's tier is its distance from the nearer end of the byline: 0 for
+    # first and last, 1 for second and penultimate. Each named tier pays its
+    # rate; the slots past them split the pool.
     if intramural:
-        middle_count = count - len(end_idx)
-        return [
-            _INTRA_END if i in end_idx else _INTRA_MIDDLE_POOL / middle_count
-            for i in range(count)
-        ]
-    near_idx = ({1, count - 2} & indices) - end_idx
-    other_count = count - len(end_idx) - len(near_idx)
-    weights = []
-    for i in range(count):
-        if i in end_idx:
-            weights.append(_EXTRA_END)
-        elif i in near_idx:
-            weights.append(_EXTRA_NEAR)
-        else:
-            weights.append(_EXTRA_OTHER_POOL / other_count)
-    return weights
+        rates, pool = (_INTRA_END,), _INTRA_MIDDLE_POOL
+    else:
+        rates, pool = (_EXTRA_END, _EXTRA_NEAR), _EXTRA_OTHER_POOL
+    named = len(rates)
+    rest = count - 2 * named  # the slots past the named tiers, if there are any
+    tiers = [min(i, count - 1 - i) for i in range(count)]
+    return [rates[tier] if tier < named else pool / rest for tier in tiers]
 
 
 def researcher_fss(

@@ -143,8 +143,7 @@ class AuthorSlot(_Record):
 
 class PublicationRecord(_Record):
     _fields = ("publication_id", "year", "subject_category", "citations", "authors")
-    # ``first_slot``'s map, kept only when it holds more than one researcher;
-    # no field, so no part of equality, hash or repr.
+    # ``first_slot``'s map, or None; no field, so no part of equality, hash or repr.
     __slots__ = (*_fields, "_first_slots")
 
     def __init__(
@@ -165,33 +164,35 @@ class PublicationRecord(_Record):
         _set_year(self, year)
         _set_category(self, subject_category)
         _set_citations(self, citations)
-        _set_authors(self, authors if type(authors) is tuple else tuple(authors))
-        _set_first_slots(self, None)
-
-    def first_slot(self, researcher_id: str) -> int:
-        """Index of the researcher's first byline slot; KeyError if it has none.
-
-        A short byline is scanned. A longer one maps each assessed id to its
-        first slot in one walk and keeps the map if it holds more than one
-        researcher, so a byline read by all of its authors is walked once."""
-        authors = self.authors
-        if len(authors) <= _SCANNED_BYLINE:
-            if researcher_id is not None:  # None is an external slot's id
-                i = 0
-                for slot in authors:
-                    if slot.researcher_id == researcher_id:
-                        return i
-                    i += 1
-            raise KeyError(researcher_id)
-        slots = self._first_slots
-        if slots is None:
+        authors = authors if type(authors) is tuple else tuple(authors)
+        _set_authors(self, authors)
+        # A long byline that lists more than one researcher maps each to its
+        # first slot, so a byline read by all of its authors is walked once.
+        slots = None
+        if len(authors) > _SCANNED_BYLINE:
             slots = {}
             for i, slot in enumerate(authors):
                 if slot.researcher_id is not None:
                     slots.setdefault(slot.researcher_id, i)
-            if len(slots) > 1:
-                _set_first_slots(self, slots)
-        return slots[researcher_id]
+            if len(slots) < 2:
+                slots = None
+        _set_first_slots(self, slots)
+
+    def first_slot(self, researcher_id: str) -> int:
+        """Index of the researcher's first byline slot; KeyError if it has none.
+
+        A byline with a map built by the constructor reads it; any other is
+        scanned."""
+        slots = self._first_slots
+        if slots is not None:
+            return slots[researcher_id]
+        if researcher_id is not None:  # None is an external slot's id
+            i = 0
+            for slot in self.authors:
+                if slot.researcher_id == researcher_id:
+                    return i
+                i += 1
+        raise KeyError(researcher_id)
 
 
 class CitationBaseline(_Record):
@@ -200,6 +201,7 @@ class CitationBaseline(_Record):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: dict[tuple[int, str], float]):
+        entries = dict(entries)  # its own copy: a caller's later change cannot bypass the check
         for key, mean in entries.items():
             if not math.isfinite(mean) or mean <= 0:
                 raise ValueError(
@@ -356,23 +358,39 @@ def validate_dataset(
     missing_baselines: set[tuple[int, str]] = set()
     by_researcher: dict[str, list[PublicationRecord] | tuple[PublicationRecord, ...]] = {}
     for pub in publications:
-        # One walk: the first slot off 1..n (counted from 1; 0 if none) and the assessed ids.
+        pid, authors = pub.publication_id, pub.authors
+        if not authors:
+            errors.append(MalformedAuthorList(pid, "empty author list"))
+        # One walk: the first slot off positions 1..n, and the assessed ids.
         listed = []
-        misplaced = count = 0
-        for slot in pub.authors:
+        count = 0
+        misplaced = False
+        for slot in authors:
             count += 1
             if slot.position != count and not misplaced:
-                misplaced = count
+                misplaced = True
+                errors.append(MalformedAuthorList(
+                    pid,
+                    f"author positions must run 1..{len(authors)} in byline order; "
+                    f"slot {count - 1} has position {_shown(slot.position)}",
+                ))
             rid = slot.researcher_id
             if rid is not None:
                 listed.append(rid)
-        if (
-            not count
-            or misplaced
-            or (len(listed) > 1 and len(set(listed)) < len(listed))
-            or not known_ids.issuperset(listed)
-        ):
-            errors.extend(_author_list_violations(pub, misplaced, listed, known_ids))
+        # A repeated id is named once, as repeated, even if it is also unknown.
+        repeated: dict[str, None] | tuple = ()
+        if len(listed) > 1 and len(set(listed)) < len(listed):
+            repeated = _repeated(listed)
+            errors.extend(
+                MalformedAuthorList(pid, f"researcher {_shown(rid)} occupies multiple author slots")
+                for rid in repeated
+            )
+        if not known_ids.issuperset(listed):
+            errors.extend(
+                UnknownResearcherRef(pid, rid)
+                for rid in listed
+                if rid not in known_ids and rid not in repeated
+            )
         for rid in listed:
             by_researcher.setdefault(rid, []).append(pub)
         year = pub.year
@@ -402,36 +420,6 @@ def _repeated(ids) -> dict[str, None]:
             repeated[item] = None
         seen.add(item)
     return repeated
-
-
-def _author_list_violations(
-    pub: PublicationRecord, misplaced: int, listed: list[str], known_ids: set[str]
-) -> list[DataViolation]:
-    """The violations of a byline that ``validate_dataset``'s walk found at
-    fault, from that walk's ``misplaced`` and ``listed``."""
-    if not pub.authors:
-        return [MalformedAuthorList(pub.publication_id, "empty author list")]
-    errors: list[DataViolation] = []
-    if misplaced:
-        errors.append(
-            MalformedAuthorList(
-                pub.publication_id,
-                f"author positions must run 1..{len(pub.authors)} in byline "
-                f"order; slot {misplaced - 1} has position "
-                f"{_shown(pub.authors[misplaced - 1].position)}",
-            )
-        )
-    duplicated = _repeated(listed)
-    for rid in duplicated:
-        errors.append(
-            MalformedAuthorList(
-                pub.publication_id, f"researcher {_shown(rid)} occupies multiple author slots"
-            )
-        )
-    for rid in listed:
-        if rid not in known_ids and rid not in duplicated:
-            errors.append(UnknownResearcherRef(pub.publication_id, rid))
-    return errors
 
 
 def apply_exclusions(

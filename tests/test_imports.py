@@ -1,7 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-module it imports is in the standard library. No linter ships with the
-package's tooling, so this stands in for an unused-import rule and for a
-dependency check."""
+"""Every name a package module imports is used in that module, every
+module it imports is in the standard library, and every private name it
+defines is used. No linter ships with the package's tooling, so this stands
+in for an unused-import rule, a dependency check and a dead-code rule."""
 
 import ast
 import sys
@@ -101,3 +101,54 @@ def test_no_module_imports_typing():
             elif isinstance(node, ast.Import):
                 found += [(module, "") for alias in node.names if alias.name == "typing"]
     assert found == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each private name defined at module level (by
+    ``def``, ``class`` or assignment) that no module refers to. Dunder names
+    such as ``__version__`` are read from outside, so they are exempt."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [
+                (module, name) for name in names
+                if name.startswith("_") and not name.endswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_an_unused_private_name_is_reported():
+    sources = {
+        "a.py": (
+            "__version__ = '1.0'\n"
+            "_LIMIT = 32\n"
+            "_set_a, _set_b = 1, 2\n"
+            "def _helper(x):\n"
+            "    return x < _LIMIT\n"
+            "def _leftover(x):\n"
+            "    return _helper(x)\n"
+            "class _Base:\n"
+            "    _fields = ()\n"
+        ),
+        "b.py": "from .a import _Base, _set_b\nclass C(_Base):\n    pass\nprint(_set_b)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _set_a", "a.py: _leftover"]

@@ -10,7 +10,13 @@ from fssfunnel import indicator
 from fssfunnel.errors import MissingBaseline, NonFiniteScore
 from fssfunnel.funnel import build_funnel_report
 from fssfunnel.indicator import fractional_weights, researcher_fss
-from fssfunnel.model import AssessmentConfig, Rank, WeightingScheme, validate_dataset
+from fssfunnel.model import (
+    AssessmentConfig,
+    CitationBaseline,
+    Rank,
+    WeightingScheme,
+    validate_dataset,
+)
 from helpers import baseline, byline, publication, researcher
 
 affiliations = st.lists(
@@ -102,6 +108,17 @@ def test_fss_divides_citations_by_the_baseline_mean():
     assert researcher_fss(rec, [publication("p", 0, authors)], entries, CONFIG) == 0.0
     ratio = researcher_fss(rec, [publication("p", 7, authors, year=2009)], entries, CONFIG)
     assert math.isclose(ratio, 7 / 4.2, abs_tol=1e-9)
+
+
+def test_a_baseline_keeps_its_own_entries():
+    # A mean the caller sets to 0 after construction would bypass the
+    # constructor's check and divide by zero.
+    entries = {(2008, "Biochemistry"): 5.0}
+    baselines = CitationBaseline(entries)
+    rec = researcher("r1", years=1)
+    pubs = [publication("p", 10, byline("u01", researcher_ids=["r1"]))]
+    entries[(2008, "Biochemistry")] = 0.0
+    assert researcher_fss(rec, pubs, baselines, CONFIG) == 2.0
 
 
 def test_fss_missing_baseline():
@@ -332,6 +349,16 @@ def test_fss_equals_fresh_weights_and_linear_scan(papers, scheme, years):
     assert researcher_fss(rec, pubs, baseline(), config) == expected
 
 
+@pytest.mark.parametrize("intramural", [True, False])
+def test_weights_equal_the_tier_rule_on_long_bylines(intramural):
+    # The property test above stops at 12 slots; 1,241 is the benchmark's
+    # consortium byline. A one-slot byline is intramural only.
+    for count in [*range(1 if intramural else 2, 301), 1241, 2000]:
+        authors = byline(*["u01"] * (count - 1), "u01" if intramural else "u02")
+        scheme = WeightingScheme.LIFE_SCIENCE
+        assert list(fractional_weights(authors, scheme)) == _fresh_weights(authors, scheme), count
+
+
 def test_researcher_off_the_byline_is_rejected():
     pub = publication("p1", 10, byline("u01", "u02", researcher_ids=["r1", None]))
     with pytest.raises(ValueError, match="not authored by 'r2'"):
@@ -419,7 +446,8 @@ def test_all_authors_of_a_long_byline_share_one_map():
     recs = [researcher(rid, years=1) for rid in ids]
     pub = publication("p1", 7, byline(*["u01"] * 1999, "u02", researcher_ids=ids))
     entries = baseline()
-    # The first researcher's ask builds the map; every later one reuses it.
+    # The record holds the map; the first researcher's score and every later
+    # one read it.
     scores = [researcher_fss(recs[0], [pub], entries, CONFIG)]
     built = pub._first_slots
     assert built == {rid: i for i, rid in enumerate(ids)}

@@ -587,13 +587,13 @@ def test_first_slots_memo_is_no_part_of_the_record():
         return publication("p1", 3, authors)
 
     built, fresh = repeated_author(), repeated_author()
-    # The first ask builds the map; the first slot wins for a repeated id.
-    assert built.first_slot("r2") == 1
+    # The constructor builds the map; the first slot wins for a repeated id.
     memo = built._first_slots
     assert memo == {"r1": 0, "r2": 1}
+    assert built.first_slot("r2") == 1
     assert built.first_slot("r1") == 0
     assert built._first_slots is memo
-    assert fresh._first_slots is None
+    assert fresh._first_slots == memo
     assert built == fresh
     assert hash(built) == hash(fresh)
     assert repr(built) == repr(fresh)

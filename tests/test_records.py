@@ -2,6 +2,7 @@
 immutability, pinned field by field so that a change of how the records are
 built cannot change how they behave."""
 
+import ast
 import pickle
 
 import pytest
@@ -23,6 +24,7 @@ from fssfunnel.model import (
     ResearcherRecord,
 )
 from fssfunnel.transform import TransformSpec
+from helpers import MODULES, PACKAGE, sites
 
 SLOT = AuthorSlot(1, "r1", "u01")
 
@@ -237,3 +239,19 @@ def test_no_record_takes_a_new_attribute():
     population = _result_records()[5]
     with pytest.raises(AttributeError):
         population.dropped_researchers = 2
+
+
+def test_a_record_slot_is_written_only_by_its_constructor():
+    # A record writes its slots through model's ``_set_*`` member-descriptor
+    # setters; called from any function but an ``__init__``, one would change
+    # a record after it is built.
+    def setter_call(node):
+        return isinstance(node, ast.Call) and (
+            ast.unparse(node.func).rpartition(".")[2].startswith("_set_")
+        )
+
+    found = []
+    for module in MODULES:
+        found += sites(module, (PACKAGE / module).read_text(encoding="utf-8"), setter_call)
+    assert found
+    assert [site for site in found if site[1] != "__init__"] == []
