@@ -30,10 +30,11 @@ import os
 import sys
 from collections.abc import Callable, Iterable
 from enum import Enum
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import AssessmentError, IoError, ParseError, ValidationErrors, _shown
 from .funnel import Classification, FunnelReport, build_funnel_report
@@ -172,7 +173,7 @@ def read_researchers_csv(path: str) -> list[ResearcherRecord]:
         if rank is None:
             raise ParseError(
                 path, line, "rank",
-                f"expected one of Assistant/Associate/Full, got {_shown(rank_text)}",
+                f"expected one of {'/'.join(r.value for r in Rank)}, got {_shown(rank_text)}",
             )
         years = tenures.get(years_text)
         if years is None:
@@ -286,13 +287,13 @@ def read_baselines_csv(path: str) -> CitationBaseline:
 def _config_file_keys() -> dict[str, tuple[str, object, Enum | None]]:
     """Config-file key -> (AssessmentConfig field, default value, dict key).
 
-    A dict field keyed by an Enum takes one file key per member, spelled
+    A mapping field keyed by an Enum takes one file key per member, spelled
     ``<key prefix><member value, lower case>`` with the field's prefix in
     ``AssessmentConfig._key_prefixes``; every other field is its own key."""
     keys = {}
     for name in AssessmentConfig._fields:
         default = getattr(AssessmentConfig, name)
-        if isinstance(default, dict):
+        if isinstance(default, MappingProxyType):
             prefix = AssessmentConfig._key_prefixes[name]
             for member, item in default.items():
                 keys[prefix + member.value.lower()] = (name, item, member)
@@ -329,8 +330,7 @@ def parse_config_file(path: str) -> AssessmentConfig:
         raise IoError(path, exc.strerror or str(exc)) from exc
 
     schema = _config_file_keys()
-    seen: set[str] = set()
-    entries: list[tuple[int, str, object]] = []
+    entries: dict[str, tuple[int, object]] = {}  # key -> (line, value), in file order
     for line_no, line in enumerate(text.splitlines(), start=1):
         # A byte that is not UTF-8 comes before any other defect of its line,
         # under the key before it.
@@ -347,20 +347,18 @@ def parse_config_file(path: str) -> AssessmentConfig:
         key = key.strip()
         if key not in schema:
             raise ParseError(path, line_no, key, "unknown configuration key")
-        if key in seen:
+        if key in entries:
             raise ParseError(path, line_no, key, "key given twice")
-        seen.add(key)
         try:
-            converted = _convert(schema[key][1], value.strip())
+            entries[key] = (line_no, _convert(schema[key][1], value.strip()))
         except ValueError as exc:
             raise ParseError(path, line_no, key, str(exc)) from None
-        entries.append((line_no, key, converted))
 
     def config_of(count: int) -> AssessmentConfig | str:
         """The config of the first ``count`` entries, or the message of the invariant
         they break; a per-member key overrides one entry of its field's default."""
         overrides: dict[str, object] = {}
-        for _, key, value in entries[:count]:
+        for key, (_, value) in islice(entries.items(), count):
             name, _, member = schema[key]
             if member is None:
                 overrides[name] = value
@@ -375,8 +373,8 @@ def parse_config_file(path: str) -> AssessmentConfig:
     if isinstance(config, AssessmentConfig):
         return config
     # Name the first line at which the lines read so far break this invariant.
-    line_no, key, _ = next(
-        entry for count, entry in enumerate(entries, start=1) if config_of(count) == config
+    key, (line_no, _) = next(
+        item for count, item in enumerate(entries.items(), start=1) if config_of(count) == config
     )
     raise ParseError(path, line_no, key, config)
 
@@ -388,10 +386,10 @@ def parse_config_file(path: str) -> AssessmentConfig:
 
 def _json_value(value):
     """A config field's value in JSON terms: Enums as their values,
-    Enum-keyed dicts keyed by member value."""
+    Enum-keyed mappings keyed by member value."""
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, dict):
+    if isinstance(value, MappingProxyType):
         return {key.value: item for key, item in value.items()}
     return value
 

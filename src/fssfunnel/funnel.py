@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
+from itertools import islice
 from math import fsum, log, sqrt
 
 # NormalDist.inv_cdf's own C kernel: importing statistics would cost every run
@@ -196,12 +197,10 @@ def build_funnel_report(
     pooled_values = [v for _, values in original_groups for v in values]
     spec = _solve_transform(pooled_values, original_groups, config)
 
-    logged = log_shift_transform(pooled_values, spec.delta)
-    transformed_groups: Groups = []
-    start = 0
-    for inst, values in original_groups:
-        transformed_groups.append((inst, logged[start : start + len(values)]))
-        start += len(values)
+    logged = iter(log_shift_transform(pooled_values, spec.delta))
+    transformed_groups: Groups = [
+        (inst, list(islice(logged, len(values)))) for inst, values in original_groups
+    ]
     fit = fit_pooled(transformed_groups, config.grand_mean_mode)
     if fit.pooled_sd == 0.0:
         raise DegenerateSample(

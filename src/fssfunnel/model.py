@@ -12,6 +12,7 @@ from collections import namedtuple
 from enum import Enum
 from numbers import Real
 from operator import index
+from types import MappingProxyType
 
 from .errors import (
     DataViolation,
@@ -89,7 +90,10 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        # A mapping proxy cannot be pickled; the constructor wraps the dict again.
+        return type(self), tuple([
+            dict(value) if type(value) is MappingProxyType else value for value in self._values()
+        ])
 
 
 def _setters(cls: type) -> list:
@@ -166,16 +170,14 @@ class PublicationRecord(_Record):
         _set_citations(self, citations)
         authors = authors if type(authors) is tuple else tuple(authors)
         _set_authors(self, authors)
-        # A long byline that lists more than one researcher maps each to its
-        # first slot, so a byline read by all of its authors is walked once.
+        # A long byline maps each researcher to its first slot, so a byline
+        # read by all of its authors is walked once.
         slots = None
         if len(authors) > _SCANNED_BYLINE:
             slots = {}
             for i, slot in enumerate(authors):
                 if slot.researcher_id is not None:
                     slots.setdefault(slot.researcher_id, i)
-            if len(slots) < 2:
-                slots = None
         _set_first_slots(self, slots)
 
     def first_slot(self, researcher_id: str) -> int:
@@ -201,7 +203,8 @@ class CitationBaseline(_Record):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: dict[tuple[int, str], float]):
-        entries = dict(entries)  # its own copy: a caller's later change cannot bypass the check
+        # Its own copy, read-only: no later change can bypass the check.
+        entries = MappingProxyType(dict(entries))
         for key, mean in entries.items():
             if not math.isfinite(mean) or mean <= 0:
                 raise ValueError(
@@ -218,11 +221,11 @@ _set_pid, _set_year, _set_category, _set_citations, _set_authors, _set_first_slo
 (_set_entries,) = _setters(CitationBaseline)
 
 
-DEFAULT_SALARY_COEFFICIENTS = {
+DEFAULT_SALARY_COEFFICIENTS = MappingProxyType({
     Rank.ASSISTANT: 1.0,
     Rank.ASSOCIATE: 1.4,
     Rank.FULL: 2.0,
-}
+})
 
 
 def _as_type_of(default, value, name: str):
@@ -246,8 +249,11 @@ def _as_type_of(default, value, name: str):
         if len(value) != len(default):
             raise ValueError(f"{name} needs {len(default)} values, got {len(value)}")
         return tuple(_as_type_of(d, v, name) for d, v in zip(default, value))
-    # An Enum-keyed dict in the default's order, whatever the caller's: byte-stable reports.
-    return {key: _as_type_of(d, value[key], name) for key, d in default.items() if key in value}
+    # An Enum-keyed mapping in the default's order, whatever the caller's: byte-stable
+    # reports. Read-only, so no later change can bypass the checks.
+    return MappingProxyType(
+        {key: _as_type_of(d, value[key], name) for key, d in default.items() if key in value}
+    )
 
 
 class AssessmentConfig(_Record):
@@ -261,7 +267,7 @@ class AssessmentConfig(_Record):
     period_end: int = 2012
     min_years_active: int = 3
     min_faculty: int = 5
-    salary_coefficients: dict[Rank, float] = DEFAULT_SALARY_COEFFICIENTS
+    salary_coefficients: MappingProxyType[Rank, float] = DEFAULT_SALARY_COEFFICIENTS
     band_z_levels: tuple[float, float] = (2.0, 3.0)
     delta_bracket: tuple[float, float] = (1e-9, 10.0)
     skewness_tolerance: float = 1e-9
@@ -269,7 +275,7 @@ class AssessmentConfig(_Record):
     grand_mean_mode: GrandMeanMode = GrandMeanMode.INDIVIDUALS
     skewness_target: SkewnessTarget = SkewnessTarget.INDIVIDUALS
     _fields = tuple(__annotations__)  # the names above, in order
-    # One config-file key per member of a dict field: <prefix><member value, lower case>.
+    # One config-file key per member of a mapping field: <prefix><member value, lower case>.
     _key_prefixes = {"salary_coefficients": "salary_coefficient_"}
 
     def __init__(self, *args, **kwargs):

@@ -72,7 +72,7 @@ def _institution_sizes(
     return sizes
 
 
-_RANKS = (Rank.ASSISTANT, Rank.ASSOCIATE, Rank.FULL)
+_RANKS = tuple(Rank)
 _RANK_PROBS = (0.35, 0.40, 0.25)
 
 
@@ -118,8 +118,6 @@ def generate_synthetic_dataset(
 
     researcher_rows = []
     publication_rows = []
-    index = 0
-    pub_serial = 0
     for j, size in enumerate(sizes, start=1):
         inst = f"u{j:02d}"
         effect = (
@@ -128,19 +126,19 @@ def generate_synthetic_dataset(
             else 1.0
         )
         for _ in range(size):
-            index += 1
-            rid = f"r{index:04d}"
+            target = targets[len(researcher_rows)] * effect
+            rid = f"r{len(researcher_rows) + 1:04d}"
             rank = rng.choices(_RANKS, _RANK_PROBS)[0]
             salary = config.salary_coefficients[rank]
             tenure = rng.randint(config.min_years_active, config.period_length)
             researcher_rows.append([rid, inst, category, rank.value, str(tenure)])
-
-            target = targets[index - 1] * effect
-            pub_serial = _append_publications(
+            _append_publications(
                 publication_rows, rng, rid, inst, target, salary, tenure,
-                years, baselines, category, pub_serial,
+                years, baselines, category,
             )
 
+    # The config file repeats the integer fields: the period and the exclusion thresholds.
+    settings = [f"{n}={v}\n" for n, v in zip(config._fields, config._values()) if isinstance(v, int)]
     paths = {
         "researchers": str(out / "researchers.csv"),
         "publications": str(out / "publications.csv"),
@@ -154,47 +152,35 @@ def generate_synthetic_dataset(
             BASELINE_HEADER,
             [[str(year), category, f"{baselines[year]:g}"] for year in years],
         ),
-        paths["config"]: lambda: "\n".join(
-            [
-                "# synthetic fixture configuration",
-                f"period_start={config.period_start}",
-                f"period_end={config.period_end}",
-                f"min_years_active={config.min_years_active}",
-                f"min_faculty={config.min_faculty}",
-            ]
-        )
-        + "\n",
+        paths["config"]: lambda: "".join(["# synthetic fixture configuration\n", *settings]),
     })
     return paths
 
 
 def _append_publications(
-    rows, rng, rid, inst, target, salary, tenure, years, baselines, category, serial
-) -> int:
+    rows, rng, rid, inst, target, salary, tenure, years, baselines, category
+) -> None:
     if target <= 0:
         if rng.random() < 0.5:
-            return serial  # no publications at all
-        serial += 1
+            return  # no publications at all
         byline, _ = _random_byline(rng, rid, inst)
         rows.append(
-            [f"p{serial:05d}", str(rng.choice(years)), category, "0",
+            [f"p{len(rows) + 1:05d}", str(rng.choice(years)), category, "0",
              _format_byline(byline)]
         )
-        return serial
+        return
 
     shares = [rng.random() for _ in range(rng.randint(1, 3))]
     budget = target * salary * tenure / math.fsum(shares)
     for share in shares:
-        serial += 1
         byline, index = _random_byline(rng, rid, inst)
         weight = fractional_weights(byline)[index]
         year = rng.choice(years)
         citations = max(0, round(share * budget * baselines[year] / weight))
         rows.append(
-            [f"p{serial:05d}", str(year), category, str(citations),
+            [f"p{len(rows) + 1:05d}", str(year), category, str(citations),
              _format_byline(byline)]
         )
-    return serial
 
 
 def _random_byline(rng, rid, inst) -> tuple[tuple[AuthorSlot, ...], int]:

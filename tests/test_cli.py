@@ -11,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections.abc import Mapping
 from enum import Enum
 from pathlib import Path
 
@@ -1686,7 +1687,7 @@ def payload(report):
             return value.value
         if isinstance(value, tuple):
             return list(value)
-        if isinstance(value, dict):
+        if isinstance(value, Mapping):
             return {key.value: item for key, item in value.items()}
         return value
 

@@ -315,11 +315,12 @@ def _reference_fss(rec, pubs, baselines, config):
 
 
 # A byline that names r1 at least once; ids may repeat, as on the library
-# path, which does not validate.
+# path, which does not validate. Past 32 slots the record maps each id to
+# its first slot; up to 32 it scans.
 bylines_with_r1 = st.lists(
     st.tuples(st.sampled_from(["r1", "r2", None]), st.sampled_from(["u01", "u02", "x"])),
     min_size=1,
-    max_size=12,
+    max_size=40,
 ).filter(lambda slots: any(rid == "r1" for rid, _ in slots))
 
 
@@ -331,6 +332,10 @@ bylines_with_r1 = st.lists(
 # r1 in the second and last of four slots: the second slot's credit counts.
 @example([([(None, "u01"), ("r1", "x"), (None, "y"), ("r1", "u02")], 10)],
          WeightingScheme.LIFE_SCIENCE, 1)
+# Forty slots, so the map: r1 in the second slot and slot 20, r2 in slot 10.
+@example([([("r1" if i in (1, 20) else "r2" if i == 10 else None, "u02" if i == 39 else "u01")
+            for i in range(40)], 10)],
+         WeightingScheme.LIFE_SCIENCE, 2)
 @settings(max_examples=200, derandomize=True)
 def test_fss_equals_fresh_weights_and_linear_scan(papers, scheme, years):
     rec = researcher("r1", rank=Rank.ASSOCIATE, years=years)
@@ -351,7 +356,7 @@ def test_fss_equals_fresh_weights_and_linear_scan(papers, scheme, years):
 
 @pytest.mark.parametrize("intramural", [True, False])
 def test_weights_equal_the_tier_rule_on_long_bylines(intramural):
-    # The property test above stops at 12 slots; 1,241 is the benchmark's
+    # The property test above stops at 40 slots; 1,241 is the benchmark's
     # consortium byline. A one-slot byline is intramural only.
     for count in [*range(1 if intramural else 2, 301), 1241, 2000]:
         authors = byline(*["u01"] * (count - 1), "u01" if intramural else "u02")

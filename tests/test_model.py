@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import sys
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -501,8 +502,8 @@ def test_config_defaults_match_documented_values():
 
 
 def _floats_in(value) -> list:
-    """The numbers a config value holds: itself, a tuple's items or a dict's values."""
-    if isinstance(value, dict):
+    """The numbers a config value holds: itself, a tuple's items or a mapping's values."""
+    if isinstance(value, Mapping):
         return list(value.values())
     return list(value) if isinstance(value, tuple) else [value]
 
@@ -527,7 +528,7 @@ def test_ints_in_float_fields_are_held_as_floats(name):
     held = getattr(AssessmentConfig(**{name: given}), name)
     assert held == given
     assert all(type(x) is float for x in _floats_in(held))
-    if isinstance(held, dict):
+    if isinstance(held, Mapping):
         assert list(held) == list(Rank)  # the default's order, not the caller's
 
 

@@ -268,13 +268,14 @@ INT_CELL = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 FLOAT_CELL = re.compile(rf"[ \t]*(?:{FLOAT_TEXT.pattern})[ \t]*", re.IGNORECASE)
 
 
-def split_records(text: str) -> list[tuple[int, list[str]]]:
-    """(first line, fields) of each RFC 4180 record of ``text``, with ``\\n``
-    or ``\\r\\n`` line ends; a blank line is a record of no fields, and text
-    that ends inside quotes ends its last field."""
+def split_records(text: str) -> list[tuple[int, int, list[str]]]:
+    """(first line, first offset, fields) of each RFC 4180 record of
+    ``text``, with ``\\n`` or ``\\r\\n`` line ends; a blank line is a record
+    of no fields, and text that ends inside quotes ends its last field. Lines
+    are counted as csv counts them: in a quoted field, a lone ``\\r`` ends one."""
     records, line, i = [], 1, 0
     while i < len(text):
-        start, fields = line, []
+        start, offset, fields = line, i, []
         if text[i] not in "\r\n":
             while True:
                 field = []
@@ -286,7 +287,7 @@ def split_records(text: str) -> list[tuple[int, list[str]]]:
                                 i += 1
                                 break
                             i += 1
-                        line += text[i] == "\n"
+                        line += text[i] == "\n" or (text[i] == "\r" and text[i + 1 : i + 2] != "\n")
                         field.append(text[i])
                         i += 1
                 while i < len(text) and text[i] not in ",\r\n":
@@ -299,7 +300,7 @@ def split_records(text: str) -> list[tuple[int, list[str]]]:
         if i < len(text):  # the line end
             i += 2 if text.startswith("\r\n", i) else 1
             line += 1
-        records.append((start, fields))
+        records.append((start, offset, fields))
     return records
 
 
@@ -311,8 +312,9 @@ def reference_csv(data: bytes, path: str, columns: list[str], read_row) -> list 
     """``read_row(line, fields)`` of each non-blank row of a CSV file, or the
     ParseError text of the file's first defect in file order: a Defect that
     ``read_row`` raises, a wrong field count, or a byte that is not UTF-8.
-    The byte is named at its own line, in the field of the record it is in,
-    and only if no complete record above it has a defect."""
+    The byte is named at its record's first line plus the ``\\n``s before it
+    in the record, in the field it is in, and only if no complete record
+    above it has a defect."""
 
     def error(line, column, reason):
         return f"{path}:{line}: column {column!r}: {reason}"
@@ -322,15 +324,15 @@ def reference_csv(data: bytes, path: str, columns: list[str], read_row) -> list 
         bad_byte = None
     except UnicodeDecodeError as exc:
         before = data[: exc.start].decode("utf-8").removeprefix("\ufeff")
-        *records, (_, fields) = split_records(before + "?")
+        *records, (start, offset, fields) = split_records(before + "?")
         bad_byte = error(
-            data.count(b"\n", 0, exc.start) + 1,
+            start + before.count("\n", offset),
             columns[min(len(fields), len(columns)) - 1],
             f"not UTF-8: byte 0x{data[exc.start]:02x}",
         )
-    assert all(fields == columns for _, fields in records[:1])
+    assert all(fields == columns for _, _, fields in records[:1])
     values = []
-    for line, fields in records[1:]:
+    for line, _, fields in records[1:]:
         if not fields:
             continue
         if len(fields) != len(columns):
@@ -482,7 +484,8 @@ def read_both(tmp_path_factory, data: bytes, read, reference):
 
 BAD_INTS = ["-1", "x", "1_0", "\uff13", "\uff12\uff10\uff11\uff10", "1.5", ""]
 PADDED = ["{}", " {}", "{}  ", "\t{} "]
-CATEGORIES = ["Biochemistry", " Plant science ", "Physics, applied", "Plant{}science"]
+# "{}" takes the file's newline; a lone "\r" ends a line as csv counts them too.
+CATEGORIES = ["Biochemistry", " Plant science ", "Physics, applied", "Plant{}science", "Plant\rscience"]
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +499,9 @@ def researcher_files(draw) -> bytes:
     rows = [
         [
             draw(st.sampled_from(PADDED)).format(f"r{i}"),
-            draw(st.sampled_from(["u1", " u2 ", "Uni, North", f"Uni{newline}of{newline}North"])),
+            draw(st.sampled_from(
+                ["u1", " u2 ", "Uni, North", f"Uni{newline}of{newline}North", "Uni\rNorth"]
+            )),
             draw(st.sampled_from(["Biochemistry", "Plant science", " Physics"])),
             draw(st.sampled_from(["Full", "full", " FULL ", "Assistant", "associate\t"])),
             draw(st.sampled_from(["0", "3", "12", " 4", "007", "+2"])),
@@ -525,6 +530,9 @@ def _researchers(path):
          b'r1,"Uni\nNorth",Bio\xff,Full,3\n')
 @example(b'researcher_id,institution_id,field_code,rank,years_active\n'
          b'r1,"Uni\nNorth",Bio,Full,3\nr2,u1,Bio,Full,1_0\n')
+# A quoted field's lone \r ends a line as csv counts them: the next row is on line 4.
+@example(b'researcher_id,institution_id,field_code,rank,years_active\n'
+         b'r1,"Uni\rNorth",Bio,Full,3\nr2,u1,Bio,Full,1_0\n')
 # Two defects: the first in file order is named, not the later byte.
 @example(b'researcher_id,institution_id,field_code,rank,years_active\n'
          b'r1,u1,Bio,Full\nr2,u1,Bio\xff,Full,3\n')

@@ -209,6 +209,35 @@ def test_a_per_row_record_survives_pickling(kind):
     assert pickle.loads(pickle.dumps(cls(*values))) == cls(*values)
 
 
+# Each mapping a record holds, as (its holder, the field's name): the class
+# default, a default and a caller's dict, and the baselines.
+MAPPING_HOLDERS = {
+    "default-salaries": (AssessmentConfig, "salary_coefficients"),
+    "config-salaries": (AssessmentConfig(), "salary_coefficients"),
+    "given-salaries": (
+        AssessmentConfig(salary_coefficients={Rank.FULL: 3, Rank.ASSISTANT: 1, Rank.ASSOCIATE: 2}),
+        "salary_coefficients",
+    ),
+    "baselines": (CitationBaseline({(2008, "Biochemistry"): 5.0}), "entries"),
+}
+
+
+@pytest.mark.parametrize("pickled", [False, True])
+@pytest.mark.parametrize("holder", MAPPING_HOLDERS)
+def test_a_mapping_a_record_holds_takes_no_write(holder, pickled):
+    # A zero written past the constructor's check would reach a division.
+    record, name = MAPPING_HOLDERS[holder]
+    if pickled:
+        record = pickle.loads(pickle.dumps(record))
+    mapping = getattr(record, name)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = 0.0
+    with pytest.raises(TypeError):
+        del mapping[key]
+    assert mapping[key] > 0
+
+
 def test_every_record_names_its_fields_and_replaces_them():
     records = [cls(*values) for cls, values, _ in PER_ROW.values()] + _result_records()
     for record in records:

@@ -26,7 +26,6 @@ AUGMENTED_ADDITIONS = [
     ("cli.py", "_read_rows", "line"),
     ("cli.py", "_array", "pieces"),
     ("cli.py", "emit_report", "pieces"),
-    ("funnel.py", "build_funnel_report", "start"),
     ("model.py", "first_slot", "i"),
     ("model.py", "validate_dataset", "count"),
     ("model.py", "apply_exclusions", "dropped_researchers"),
@@ -39,9 +38,6 @@ AUGMENTED_ADDITIONS = [
     ("render.py", "render_caterpillar_svg", "parts"),
     ("render.py", "render_caterpillar_svg", "parts"),
     ("synth.py", "_institution_sizes", "sizes[index]"),
-    ("synth.py", "generate_synthetic_dataset", "index"),
-    ("synth.py", "_append_publications", "serial"),
-    ("synth.py", "_append_publications", "serial"),
     ("transform.py", "solve_zero_skew", "b"),
 ]
 
